@@ -629,6 +629,83 @@ void BM_GrowRemote(benchmark::State& state) {
 }
 BENCHMARK(BM_GrowRemote);
 
+// One staggered Monitor update at Grizzly scale: 48 Dynamic jobs of 30
+// hosts each (~29 hosts per job, as in the exa-Grizzly weeks) fill 1440 of
+// the 1490 nodes, and every timed iteration fires the next engine event —
+// a MonitorUpdate in all but a handful of iterations per job lifetime.
+// Arg 0 (memo hit): usage is flat, so after the first update every update
+// re-reads the base demand the slots already hold and resize_job is
+// skipped outright. Arg 1 (memo missed): usage is a sawtooth whose steps
+// are half a window wide, so each update moves the base demand and
+// resize_job walks the slot span, growing every slot a little per update
+// and shrinking them all at each reset. Demand stays within local memory,
+// as in the exa-Grizzly weeks, so the contention refresh stays cheap and
+// the resize path dominates.
+struct MonitorUpdateRig {
+  static constexpr int kJobs = 48;
+  static constexpr int kHostsPerJob = 30;
+  static constexpr Seconds kInterval = 300.0;
+  static constexpr int kWindows = 4000;  ///< updates per job lifetime
+
+  sim::Engine engine;
+  cluster::Cluster cluster{cluster::make_cluster_config(kScNormal, 64 * kGiB,
+                                                        kScLarge, 128 * kGiB)};
+  std::unique_ptr<policy::AllocationPolicy> policy =
+      policy::make_policy(policy::PolicyKind::Dynamic);
+  sched::Scheduler scheduler;
+
+  explicit MonitorUpdateRig(bool memo_hit)
+      : scheduler(engine, cluster, *policy, nullptr, config()) {
+    trace::UsageTrace usage = trace::UsageTrace::constant(44 * kGiB);
+    if (!memo_hit) {
+      std::vector<trace::UsagePoint> points;
+      const int steps = 2 * kWindows;
+      for (int k = 0; k < steps; ++k) {
+        points.push_back(trace::UsagePoint{
+            static_cast<double>(k) / steps,
+            40 * kGiB + static_cast<MiB>(k % 50) * 256});
+      }
+      usage = trace::UsageTrace(std::move(points));
+    }
+    trace::Workload jobs;
+    for (std::uint32_t i = 1; i <= kJobs; ++i) {
+      trace::JobSpec spec;
+      spec.id = JobId{i};
+      spec.num_nodes = kHostsPerJob;
+      spec.requested_mem = 48 * kGiB;
+      spec.duration = kInterval * kWindows;
+      spec.walltime = 2.0 * spec.duration;
+      spec.usage = usage;
+      jobs.push_back(std::move(spec));
+    }
+    scheduler.submit_workload(std::move(jobs));
+    (void)scheduler.run_ready(0.0);  // submissions + the starting pass
+  }
+
+  static sched::SchedulerConfig config() {
+    sched::SchedulerConfig cfg;
+    cfg.update_interval = kInterval;
+    return cfg;
+  }
+};
+
+void BM_MonitorUpdate(benchmark::State& state) {
+  const bool memo_hit = state.range(0) == 0;
+  auto rig = std::make_unique<MonitorUpdateRig>(memo_hit);
+  for (auto _ : state) {
+    if (rig->engine.empty()) {
+      // Every job finished: rebuild off the clock.
+      state.PauseTiming();
+      rig = std::make_unique<MonitorUpdateRig>(memo_hit);
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(rig->engine.step());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel(memo_hit ? "memo hit" : "memo missed");
+}
+BENCHMARK(BM_MonitorUpdate)->Arg(0)->Arg(1);
+
 }  // namespace
 
 BENCHMARK_MAIN();

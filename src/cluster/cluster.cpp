@@ -90,10 +90,8 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   local_used_.assign(n, 0);
   lent_.assign(n, 0);
   lender_dirty_flag_.assign(n, 0);
+  slot_ref_.assign(n, SlotRef{});
   borrow_slab_.init(n);
-  // Exclusive node allocation bounds live slots by the node count.
-  slots_.reserve(n);
-  job_hosts_.reserve(n);
   rebuild_indexes_bulk();
   nodes_by_capacity_.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) nodes_by_capacity_.push_back(NodeId{i});
@@ -128,6 +126,7 @@ void Cluster::add_nodes(std::span<const NodeConfig> new_nodes) {
     local_used_.push_back(0);
     lent_.push_back(0);
     lender_dirty_flag_.push_back(0);
+    slot_ref_.emplace_back();
     total_capacity_ += nc.capacity;
   }
   borrow_slab_.grow(n);
@@ -354,56 +353,74 @@ void Cluster::clear_contention_dirty() {
 void Cluster::assign_job(JobId job, std::span<const NodeId> hosts) {
   DMSIM_ASSERT(job.valid(), "cannot assign an invalid job");
   DMSIM_ASSERT(!hosts.empty(), "job needs at least one host");
-  DMSIM_ASSERT(!job_hosts_.contains(job.get()), "job already assigned");
+  DMSIM_ASSERT(!handle_of_.contains(job.get()), "job already assigned");
   for (NodeId h : hosts) {
     DMSIM_ASSERT(can_host(h), "host is busy or a memory node");
   }
-  std::vector<NodeId> host_list(hosts.begin(), hosts.end());
-  for (NodeId h : host_list) {
-    running_job_[h.get()] = job.get();
-    reindex_node(h.get());
-    AllocationSlot slot;
-    slot.job = job;
-    slot.host = h;
-    const auto [it, inserted] = slots_.emplace(key(job, h), std::move(slot));
-    DMSIM_ASSERT(inserted, "duplicate host in job assignment");
-    (void)it;
+  std::uint32_t handle;
+  if (!free_handles_.empty()) {
+    handle = free_handles_.back();
+    free_handles_.pop_back();
+  } else {
+    handle = static_cast<std::uint32_t>(jobs_.size());
+    jobs_.emplace_back();
   }
-  job_hosts_.emplace(job.get(), std::move(host_list));
+  JobSlots& entry = jobs_[handle];
+  entry.job = job;
+  entry.hosts.assign(hosts.begin(), hosts.end());
+  entry.slots.reserve(hosts.size());
+  for (std::uint32_t pos = 0; pos < hosts.size(); ++pos) {
+    const std::uint32_t h = hosts[pos].get();
+    DMSIM_ASSERT(running_job_[h] == kIdle, "duplicate host in job assignment");
+    running_job_[h] = job.get();
+    reindex_node(h);
+    slot_ref_[h] = SlotRef{handle, pos};
+    AllocationSlot& slot = entry.slots.emplace_back();
+    slot.job = job;
+    slot.host = hosts[pos];
+  }
+  handle_of_.emplace(job.get(), handle);
   ++change_epoch_;
 }
 
+void Cluster::return_to_lender(std::uint32_t lender, MiB amount) {
+  DMSIM_ASSERT(lent_[lender] >= amount, "lender under-ledgered");
+  lent_[lender] -= amount;
+  total_allocated_ -= amount;
+  total_lent_ -= amount;
+  if (tiered()) tier_lent_mib_[tier_[lender]] -= amount;
+  reindex_node(lender);
+}
+
 void Cluster::finish_job(JobId job) {
-  const auto hit = job_hosts_.find(job.get());
-  DMSIM_ASSERT(hit != job_hosts_.end(), "finishing a job that is not assigned");
-  for (NodeId h : hit->second) {
-    const auto sit = slots_.find(key(job, h));
-    DMSIM_ASSERT(sit != slots_.end(), "missing slot for assigned host");
-    AllocationSlot& slot = sit->second;
+  const auto hit = handle_of_.find(job.get());
+  DMSIM_ASSERT(hit != handle_of_.end(), "finishing a job that is not assigned");
+  const std::uint32_t handle = hit->second;
+  JobSlots& entry = jobs_[handle];
+  for (std::uint32_t pos = 0; pos < entry.slots.size(); ++pos) {
+    const AllocationSlot& slot = entry.slots[pos];
     // Return all borrows.
     for (const auto& [lender, amount] : slot.remote) {
-      const std::uint32_t l = lender.get();
-      DMSIM_ASSERT(lent_[l] >= amount, "lender under-ledgered");
-      lent_[l] -= amount;
-      total_allocated_ -= amount;
-      total_lent_ -= amount;
-      if (tiered()) tier_lent_mib_[tier_[l]] -= amount;
-      reindex_node(l);
+      return_to_lender(lender.get(), amount);
       mark_lender_dirty(lender);
-      const bool removed = borrow_slab_.remove(l, sit->first.packed);
+      const bool removed =
+          borrow_slab_.remove(lender.get(), SlotRef{handle, pos});
       DMSIM_ASSERT(removed, "borrow edge missing from reverse slab");
     }
     // Release local share and the host itself.
-    const std::uint32_t hi = h.get();
+    const std::uint32_t hi = slot.host.get();
     DMSIM_ASSERT(local_used_[hi] >= slot.local, "host under-ledgered");
     local_used_[hi] -= slot.local;
     total_allocated_ -= slot.local;
     DMSIM_ASSERT(running_job_[hi] == job.get(), "host running a different job");
     running_job_[hi] = kIdle;
     reindex_node(hi);
-    slots_.erase(sit);
   }
-  job_hosts_.erase(hit);
+  // The handle goes back on the free list with its storage released, so a
+  // recycled handle holds no memory sized for an earlier, larger job.
+  entry = JobSlots{};
+  free_handles_.push_back(handle);
+  handle_of_.erase(hit);
   ++change_epoch_;
   // The scheduler emits the job's terminal event; here only the aggregate
   // gauges move (all of the job's local + borrowed memory was returned).
@@ -422,6 +439,7 @@ MiB Cluster::grow_local(JobId job, NodeId host, MiB amount) {
   const std::uint32_t h = host.get();
   const MiB granted = std::min(amount, free_[h]);
   slot.local += granted;
+  slot.cached_total += granted;
   local_used_[h] += granted;
   total_allocated_ += granted;
   if (granted > 0) {
@@ -446,6 +464,7 @@ MiB Cluster::shrink_local(JobId job, NodeId host, MiB amount) {
   const std::uint32_t h = host.get();
   const MiB released = std::min(amount, slot.local);
   slot.local -= released;
+  slot.cached_total -= released;
   local_used_[h] -= released;
   total_allocated_ -= released;
   if (released > 0) {
@@ -566,6 +585,7 @@ MiB Cluster::grow_remote(JobId job, NodeId host, MiB amount) {
     remaining -= take;
     ++lenders_touched;
     reindex_node(l);
+    slot.cached_total += take;
     // Merge into an existing edge if present.
     auto edge = std::find_if(slot.remote.begin(), slot.remote.end(),
                              [lender](const auto& e) { return e.first == lender; });
@@ -573,7 +593,7 @@ MiB Cluster::grow_remote(JobId job, NodeId host, MiB amount) {
       edge->second += take;
     } else {
       slot.remote.emplace_back(lender, take);
-      borrow_slab_.add(l, key(job, host).packed);
+      borrow_slab_.add(l, slot_ref_[host.get()]);
       ++edges_added;
     }
   }
@@ -619,20 +639,16 @@ MiB Cluster::shrink_remote(JobId job, NodeId host, MiB amount) {
     if (remaining == 0) break;
     const MiB give = std::min(remaining, borrowed);
     const std::uint32_t l = lender.get();
-    DMSIM_ASSERT(lent_[l] >= give, "lender under-ledgered on shrink");
-    lent_[l] -= give;
-    total_allocated_ -= give;
-    total_lent_ -= give;
-    if (tiered()) tier_lent_mib_[tier_[l]] -= give;
+    return_to_lender(l, give);
     borrowed -= give;
     remaining -= give;
-    reindex_node(l);
+    slot.cached_total -= give;
     // Mark here, not via mark_slot_dirty below: a fully-returned edge is
     // erased from the slot before that call, yet its lender's pressure
     // still changed.
     mark_lender_dirty(lender);
     if (borrowed == 0) {
-      const bool removed = borrow_slab_.remove(l, key(job, host).packed);
+      const bool removed = borrow_slab_.remove(l, slot_ref_[host.get()]);
       DMSIM_ASSERT(removed, "borrow edge missing from reverse slab");
       ++edges_removed;
     }
@@ -671,17 +687,13 @@ MiB Cluster::shrink_remote_edge(JobId job, NodeId host, NodeId lender,
   if (edge == slot.remote.end() || amount == 0) return 0;
   const MiB give = std::min(amount, edge->second);
   const std::uint32_t l = lender.get();
-  DMSIM_ASSERT(lent_[l] >= give, "lender under-ledgered on edge shrink");
-  lent_[l] -= give;
-  total_allocated_ -= give;
-  total_lent_ -= give;
-  if (tiered()) tier_lent_mib_[tier_[l]] -= give;
+  return_to_lender(l, give);
   edge->second -= give;
-  reindex_node(l);
+  slot.cached_total -= give;
   mark_lender_dirty(lender);
   std::int64_t edges_removed = 0;
   if (edge->second == 0) {
-    const bool removed = borrow_slab_.remove(l, key(job, host).packed);
+    const bool removed = borrow_slab_.remove(l, slot_ref_[host.get()]);
     DMSIM_ASSERT(removed, "borrow edge missing from reverse slab");
     slot.remote.erase(edge);
     edges_removed = 1;
@@ -712,48 +724,50 @@ MiB Cluster::shrink_remote_edge(JobId job, NodeId host, NodeId lender,
 // ---------------------------------------------------------------------------
 
 const AllocationSlot& Cluster::slot(JobId job, NodeId host) const {
-  const auto it = slots_.find(key(job, host));
-  DMSIM_ASSERT(it != slots_.end(), "no allocation slot for (job, host)");
-  return it->second;
+  const std::uint32_t h = checked(host);
+  DMSIM_ASSERT(job.valid() && running_job_[h] == job.get(),
+               "no allocation slot for (job, host)");
+  const SlotRef ref = slot_ref_[h];
+  return jobs_[ref.handle].slots[ref.pos];
 }
 
 bool Cluster::has_slot(JobId job, NodeId host) const {
-  return slots_.contains(key(job, host));
+  return job.valid() && host.valid() && host.get() < node_count() &&
+         running_job_[host.get()] == job.get();
 }
 
 AllocationSlot& Cluster::slot_mut(JobId job, NodeId host) {
-  const auto it = slots_.find(key(job, host));
-  DMSIM_ASSERT(it != slots_.end(), "no allocation slot for (job, host)");
-  return it->second;
+  return const_cast<AllocationSlot&>(std::as_const(*this).slot(job, host));
+}
+
+std::uint32_t Cluster::handle_of(JobId job) const {
+  const auto it = handle_of_.find(job.get());
+  return it == handle_of_.end() ? kNil : it->second;
 }
 
 std::span<const NodeId> Cluster::hosts_of(JobId job) const {
-  const auto hit = job_hosts_.find(job.get());
-  if (hit == job_hosts_.end()) return {};
-  return hit->second;
+  const std::uint32_t handle = handle_of(job);
+  if (handle == kNil) return {};
+  return jobs_[handle].hosts;
 }
 
-std::vector<const AllocationSlot*> Cluster::job_slots(JobId job) const {
-  std::vector<const AllocationSlot*> out;
-  const auto hit = job_hosts_.find(job.get());
-  if (hit == job_hosts_.end()) return out;
-  out.reserve(hit->second.size());
-  for (NodeId h : hit->second) out.push_back(&slot(job, h));
-  return out;
+std::span<const AllocationSlot> Cluster::job_slots(JobId job) const {
+  const std::uint32_t handle = handle_of(job);
+  if (handle == kNil) return {};
+  return jobs_[handle].slots;
 }
 
 void Cluster::borrowers_of(NodeId lender,
                            std::vector<BorrowEdge>& out) const {
   const std::size_t first = out.size();
-  borrow_slab_.for_each(checked(lender), [&](std::uint64_t packed) {
-    const auto it = slots_.find(SlotKey{packed});
-    DMSIM_ASSERT(it != slots_.end(), "reverse index points at a dead slot");
-    const AllocationSlot& slot = it->second;
+  const std::uint8_t tier = tier_[checked(lender)];
+  borrow_slab_.for_each(lender.get(), [&](SlotRef ref) {
+    const AllocationSlot& slot = jobs_[ref.handle].slots[ref.pos];
     for (const auto& [from, amount] : slot.remote) {
       if (from == lender) {
         DMSIM_ASSERT(amount > 0, "reverse index holds a zero edge");
         out.push_back(
-            BorrowEdge{slot.job, slot.host, amount, tier_[lender.get()]});
+            BorrowEdge{slot.job, slot.host, amount, tier, slot.total()});
         break;  // edges are merged: at most one per lender
       }
     }
@@ -765,11 +779,7 @@ void Cluster::borrowers_of(NodeId lender,
   std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
             [this](const BorrowEdge& a, const BorrowEdge& b) {
               if (a.job != b.job) return a.job < b.job;
-              const std::span<const NodeId> hosts = hosts_of(a.job);
-              const auto pos = [&hosts](NodeId h) {
-                return std::find(hosts.begin(), hosts.end(), h) - hosts.begin();
-              };
-              return pos(a.host) < pos(b.host);
+              return slot_ref_[a.host.get()].pos < slot_ref_[b.host.get()].pos;
             });
 }
 
@@ -787,34 +797,68 @@ void Cluster::check_invariants() const {
   const std::size_t n = node_count();
   std::vector<MiB> local(n, 0);
   std::vector<MiB> lent(n, 0);
-  // Every (lender, slot-key) borrow pair implied by the slots, to compare
+  // Every (lender, slot) borrow pair implied by the slots, to compare
   // against the reverse slab wholesale (sort + one linear scan) instead of
   // probing the slab once per edge.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> expected_edges;
+  std::vector<std::pair<std::uint32_t, SlotRef>> expected_edges;
   MiB allocated = 0;
-  for (const auto& [k, slot] : slots_) {
-    (void)k;
-    DMSIM_ASSERT(slot.local >= 0, "negative local share");
-    local[slot.host.get()] += slot.local;
-    allocated += slot.local;
-    for (const auto& [lender, amount] : slot.remote) {
-      DMSIM_ASSERT(amount > 0, "zero/negative borrow edge left in ledger");
-      DMSIM_ASSERT(lender != slot.host, "self-borrow edge");
-      lent[lender.get()] += amount;
-      allocated += amount;
-      expected_edges.emplace_back(lender.get(),
-                                  key(slot.job, slot.host).packed);
-    }
-    DMSIM_ASSERT(running_job_[slot.host.get()] == slot.job.get(),
-                 "slot host not running the slot's job");
+  std::size_t live_jobs = 0;
+  std::size_t live_slots = 0;
+  std::vector<std::uint8_t> listed_free(jobs_.size(), 0);
+  for (const std::uint32_t f : free_handles_) {
+    DMSIM_ASSERT(f < jobs_.size() && listed_free[f] == 0,
+                 "free-handle list corrupt");
+    listed_free[f] = 1;
   }
+  for (std::uint32_t handle = 0; handle < jobs_.size(); ++handle) {
+    const JobSlots& entry = jobs_[handle];
+    if (!entry.job.valid()) {
+      DMSIM_ASSERT(listed_free[handle] != 0 && entry.hosts.empty() &&
+                       entry.slots.empty(),
+                   "free handle not recycled cleanly");
+      continue;
+    }
+    DMSIM_ASSERT(listed_free[handle] == 0, "live handle on the free list");
+    DMSIM_ASSERT(handle_of(entry.job) == handle,
+                 "job handle map disagrees with the slab");
+    DMSIM_ASSERT(!entry.slots.empty() &&
+                     entry.hosts.size() == entry.slots.size(),
+                 "slab entry hosts and slots disagree");
+    ++live_jobs;
+    for (std::uint32_t pos = 0; pos < entry.slots.size(); ++pos) {
+      const AllocationSlot& slot = entry.slots[pos];
+      DMSIM_ASSERT(slot.job == entry.job && slot.host == entry.hosts[pos],
+                   "slot disagrees with its slab entry");
+      const std::uint32_t h = checked(slot.host);
+      DMSIM_ASSERT(running_job_[h] == slot.job.get(),
+                   "slot host not running the slot's job");
+      DMSIM_ASSERT((slot_ref_[h] == SlotRef{handle, pos}),
+                   "slot-reference column out of date");
+      DMSIM_ASSERT(slot.local >= 0, "negative local share");
+      local[h] += slot.local;
+      allocated += slot.local;
+      MiB total = slot.local;
+      for (const auto& [lender, amount] : slot.remote) {
+        DMSIM_ASSERT(amount > 0, "zero/negative borrow edge left in ledger");
+        DMSIM_ASSERT(lender != slot.host, "self-borrow edge");
+        lent[lender.get()] += amount;
+        allocated += amount;
+        total += amount;
+        expected_edges.emplace_back(lender.get(), SlotRef{handle, pos});
+      }
+      DMSIM_ASSERT(slot.cached_total == total, "cached slot total out of date");
+      ++live_slots;
+    }
+  }
+  DMSIM_ASSERT(live_jobs == handle_of_.size(),
+               "job handle map holds unassigned jobs");
   // Reverse slab must hold exactly the implied edge set (each edge once).
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> actual_edges;
+  std::vector<std::pair<std::uint32_t, SlotRef>> actual_edges;
   actual_edges.reserve(expected_edges.size());
   for (std::uint32_t l = 0; l < n; ++l) {
     std::size_t row = 0;
-    borrow_slab_.for_each(l, [&](std::uint64_t packed) {
-      actual_edges.emplace_back(l, packed);
+    borrow_slab_.for_each(l, [&](SlotRef ref) {
+      actual_edges.emplace_back(l, ref);
       ++row;
     });
     DMSIM_ASSERT(row == borrow_slab_.degree[l],
@@ -832,8 +876,10 @@ void Cluster::check_invariants() const {
   std::size_t host_entries = 0;
   std::size_t free_entries = 0;
   std::size_t mem_free_entries = 0;
+  std::size_t busy_nodes = 0;
   MiB lent_total = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
+    busy_nodes += running_job_[i] != kIdle ? 1 : 0;
     DMSIM_ASSERT(local_used_[i] == local[i],
                  "node local_used disagrees with slots");
     DMSIM_ASSERT(lent_[i] == lent[i], "node lent disagrees with edges");
@@ -878,6 +924,9 @@ void Cluster::check_invariants() const {
               "free index disagrees with node state");
   check_index(mem_free_index_, kInMemFree, mem_free_entries,
               "memory-node free index disagrees with node state");
+  // Each slot points its host back at itself (checked above), so equal
+  // counts make slots and busy nodes a bijection.
+  DMSIM_ASSERT(busy_nodes == live_slots, "busy node without an allocation slot");
   DMSIM_ASSERT(allocated == total_allocated_,
                "aggregate allocation counter out of sync");
   DMSIM_ASSERT(lent_total == total_lent_, "aggregate lent counter out of sync");
@@ -977,26 +1026,23 @@ void Cluster::save_state(snapshot::Writer& writer) const {
   for (const MiB lu : local_used_) writer.i64(lu);
   for (const MiB le : lent_) writer.i64(le);
 
-  // Jobs in id order (unordered_map iteration order is not reproducible);
-  // each job's hosts in assignment order, each slot's borrow edges in their
-  // live merged order.
-  std::vector<std::uint32_t> jobs;
-  jobs.reserve(job_hosts_.size());
-  for (const auto& [job, hosts] : job_hosts_) {
-    (void)hosts;
-    jobs.push_back(job);
+  // Jobs in id order (handles are an in-memory detail: recycling makes
+  // them history-dependent, so they never reach the format); each job's
+  // hosts in assignment order, each slot's borrow edges in their live
+  // merged order.
+  std::vector<std::pair<JobId, std::uint32_t>> jobs;
+  jobs.reserve(handle_of_.size());
+  for (std::uint32_t handle = 0; handle < jobs_.size(); ++handle) {
+    if (jobs_[handle].job.valid()) jobs.emplace_back(jobs_[handle].job, handle);
   }
   std::sort(jobs.begin(), jobs.end());
   writer.u32(static_cast<std::uint32_t>(jobs.size()));
-  for (const std::uint32_t job : jobs) {
-    const std::vector<NodeId>& hosts = job_hosts_.at(job);
-    writer.u32(job);
-    writer.u32(static_cast<std::uint32_t>(hosts.size()));
-    for (const NodeId h : hosts) {
-      const auto it = slots_.find(key(JobId{job}, h));
-      DMSIM_ASSERT(it != slots_.end(), "missing slot for assigned host");
-      const AllocationSlot& slot = it->second;
-      writer.u32(h.get());
+  for (const auto& [job, handle] : jobs) {
+    const std::vector<AllocationSlot>& slots = jobs_[handle].slots;
+    writer.u32(job.get());
+    writer.u32(static_cast<std::uint32_t>(slots.size()));
+    for (const AllocationSlot& slot : slots) {
+      writer.u32(slot.host.get());
       writer.i64(slot.local);
       writer.u32(static_cast<std::uint32_t>(slot.remote.size()));
       for (const auto& [lender, amount] : slot.remote) {
@@ -1054,8 +1100,10 @@ void Cluster::restore_state(snapshot::Reader& reader,
   }
 
   // Wipe all mutable state back to the empty ledger.
-  slots_.clear();
-  job_hosts_.clear();
+  jobs_.clear();
+  free_handles_.clear();
+  handle_of_.clear();
+  slot_ref_.assign(n, SlotRef{});
   borrow_slab_.init(n);
   dirty_lenders_.clear();
   dirty_jobs_.clear();
@@ -1087,45 +1135,65 @@ void Cluster::restore_state(snapshot::Reader& reader,
 
   const std::uint32_t n_jobs = reader.u32();
   for (std::uint32_t j = 0; j < n_jobs; ++j) {
-    const std::uint32_t job = reader.u32();
+    const JobId job{reader.u32()};
     const std::uint32_t n_hosts = reader.u32();
-    if (n_hosts == 0) {
-      throw snapshot::SnapshotError("snapshot: assigned job with no hosts");
+    if (!job.valid()) throw snapshot::SnapshotError("snapshot: invalid job id");
+    if (n_hosts == 0 || n_hosts > n) {
+      throw snapshot::SnapshotError(
+          "snapshot: assigned job host count out of range");
     }
-    std::vector<NodeId> hosts;
-    hosts.reserve(n_hosts);
-    for (std::uint32_t k_ = 0; k_ < n_hosts; ++k_) {
+    // Handles are dealt densely in job-id order; the saving run's handles
+    // are not part of the format.
+    const auto handle = static_cast<std::uint32_t>(jobs_.size());
+    if (!handle_of_.emplace(job.get(), handle).second) {
+      throw snapshot::SnapshotError("snapshot: duplicate job assignment");
+    }
+    JobSlots& entry = jobs_.emplace_back();
+    entry.job = job;
+    entry.hosts.reserve(n_hosts);
+    entry.slots.reserve(n_hosts);
+    for (std::uint32_t pos = 0; pos < n_hosts; ++pos) {
       const std::uint32_t host = reader.u32();
-      if (host >= n || running_job_[host] != job) {
+      if (host >= n || running_job_[host] != job.get()) {
         throw snapshot::SnapshotError(
             "snapshot: slot host is not running the slot's job");
       }
-      hosts.emplace_back(NodeId{host});
-      AllocationSlot slot;
-      slot.job = JobId{job};
+      if (slot_ref_[host].handle != kNil) {
+        throw snapshot::SnapshotError("snapshot: duplicate allocation slot");
+      }
+      slot_ref_[host] = SlotRef{handle, pos};
+      entry.hosts.emplace_back(NodeId{host});
+      AllocationSlot& slot = entry.slots.emplace_back();
+      slot.job = job;
       slot.host = NodeId{host};
       slot.local = reader.i64();
-      if (slot.local < 0) {
-        throw snapshot::SnapshotError("snapshot: negative local share");
+      if (slot.local < 0 || slot.local > capacity_[host]) {
+        throw snapshot::SnapshotError("snapshot: local share out of range");
       }
+      slot.cached_total = slot.local;
+      // Edges are merged per lender and never self-borrow.
       const std::uint32_t n_edges = reader.u32();
+      if (n_edges >= n) {
+        throw snapshot::SnapshotError("snapshot: invalid borrow edge");
+      }
       slot.remote.reserve(n_edges);
       for (std::uint32_t e = 0; e < n_edges; ++e) {
         const std::uint32_t lender = reader.u32();
         const MiB amount = reader.i64();
-        if (lender >= n || lender == host || amount <= 0) {
+        if (lender >= n || lender == host || amount <= 0 ||
+            amount > capacity_[lender]) {
           throw snapshot::SnapshotError("snapshot: invalid borrow edge");
         }
         slot.remote.emplace_back(NodeId{lender}, amount);
-        borrow_slab_.add(lender, key(JobId{job}, NodeId{host}).packed);
-      }
-      if (!slots_.emplace(key(JobId{job}, NodeId{host}), std::move(slot))
-               .second) {
-        throw snapshot::SnapshotError("snapshot: duplicate allocation slot");
+        slot.cached_total += amount;
+        borrow_slab_.add(lender, SlotRef{handle, pos});
       }
     }
-    if (!job_hosts_.emplace(job, std::move(hosts)).second) {
-      throw snapshot::SnapshotError("snapshot: duplicate job assignment");
+  }
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (running_job_[i] != kIdle && slot_ref_[i].handle == kNil) {
+      throw snapshot::SnapshotError(
+          "snapshot: busy node without an allocation slot");
     }
   }
 

@@ -28,6 +28,13 @@
 // unchanged. Hot paths use the `*_of()` column accessors instead, which
 // read exactly one array element.
 //
+// The allocation ledger is job-major: each assigned job owns a dense slab
+// entry (a recycled internal handle) holding its hosts and slots
+// contiguously in assignment order, and each node's slot-reference column
+// points at the slot of the job it runs. A job-wide call (finish, the
+// Actuator's batched resize, the contention model's per-job walks) hashes
+// the job id once; a (job, host) call hashes nothing.
+//
 // Scalability: every mutation maintains three ordered free-memory indexes
 // (hostable nodes, lendable nodes, lendable memory nodes) plus a reverse
 // lender -> borrow-edge slab (a CSR-style flat edge pool with per-lender
@@ -38,6 +45,7 @@
 // (free desc, id asc) order of the former sort-based comparators.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -146,13 +154,15 @@ struct AllocationSlot {
   MiB local = 0;
   /// Lender -> amount; kept merged (at most one entry per lender).
   std::vector<std::pair<NodeId, MiB>> remote;
+  /// local + the sum of `remote`, kept current by every Cluster mutation so
+  /// total() is one read — the Actuator compares it against each host's
+  /// demand on every Monitor update.
+  MiB cached_total = 0;
 
   [[nodiscard]] MiB remote_total() const noexcept {
-    MiB t = 0;
-    for (const auto& [node, amount] : remote) t += amount;
-    return t;
+    return cached_total - local;
   }
-  [[nodiscard]] MiB total() const noexcept { return local + remote_total(); }
+  [[nodiscard]] MiB total() const noexcept { return cached_total; }
   /// Fraction of the allocation that is remote (0 when empty).
   [[nodiscard]] double remote_fraction() const noexcept {
     const MiB t = total();
@@ -274,6 +284,13 @@ class Cluster {
   [[nodiscard]] std::span<const MiB> capacity_column() const noexcept {
     return capacity_;
   }
+  [[nodiscard]] std::span<const std::int32_t> cores_column() const noexcept {
+    return cores_;
+  }
+  /// 1 where the node was configured large (classification only).
+  [[nodiscard]] std::span<const std::uint8_t> large_column() const noexcept {
+    return large_;
+  }
   [[nodiscard]] std::span<const MiB> local_used_column() const noexcept {
     return local_used_;
   }
@@ -350,8 +367,10 @@ class Cluster {
   void add_nodes(std::span<const NodeConfig> new_nodes);
 
   // --- job placement -----------------------------------------------------
-  /// Mark `hosts` as running `job` and create empty allocation slots.
-  /// Every host must currently satisfy can_host().
+  /// Mark `hosts` as running `job` and create empty allocation slots, one
+  /// per host in the given order. The job takes a dense internal handle
+  /// (recycled from finished jobs). Every host must currently satisfy
+  /// can_host().
   void assign_job(JobId job, std::span<const NodeId> hosts);
 
   /// Release all of the job's memory (local + every borrow edge) and free
@@ -381,22 +400,28 @@ class Cluster {
   /// tiers without touching any other edge.
   MiB shrink_remote_edge(JobId job, NodeId host, NodeId lender, MiB amount);
 
+  /// The slot of `job` on `host`: O(1) through the host's slot-reference
+  /// column, no hashing.
   [[nodiscard]] const AllocationSlot& slot(JobId job, NodeId host) const;
   [[nodiscard]] bool has_slot(JobId job, NodeId host) const;
 
   /// Hosts of a job in assignment order (empty span if not assigned).
   [[nodiscard]] std::span<const NodeId> hosts_of(JobId job) const;
 
-  /// All slots of a job (one per host), in host order.
-  [[nodiscard]] std::vector<const AllocationSlot*> job_slots(JobId job) const;
+  /// All slots of a job (one per host), contiguous in assignment order
+  /// (empty span if not assigned). Valid until the job's next assign/finish.
+  [[nodiscard]] std::span<const AllocationSlot> job_slots(JobId job) const;
 
   /// Jobs borrowing from `lender` as (job, host, amount) triples. Edges are
-  /// tier-tagged with the lender's tier (every edge of one lender shares it).
+  /// tier-tagged with the lender's tier (every edge of one lender shares it)
+  /// and carry the borrowing slot's total, the denominator of the edge's
+  /// contention pressure.
   struct BorrowEdge {
     JobId job{};
     NodeId host{};
     MiB amount = 0;
     std::uint8_t tier = 0;
+    MiB slot_total = 0;
   };
   /// Append `lender`'s borrow edges to `out` in canonical order: ascending
   /// borrower job id, then the host's position in the job's assignment.
@@ -457,25 +482,6 @@ class Cluster {
   void restore_state(snapshot::Reader& reader, std::uint32_t format_version = 4);
 
  private:
-  struct SlotKey {
-    std::uint64_t packed;
-    friend bool operator==(SlotKey, SlotKey) noexcept = default;
-  };
-  struct SlotKeyHash {
-    [[nodiscard]] std::size_t operator()(SlotKey k) const noexcept {
-      return std::hash<std::uint64_t>{}(k.packed);
-    }
-  };
-  [[nodiscard]] static SlotKey key(JobId job, NodeId host) noexcept {
-    return SlotKey{(static_cast<std::uint64_t>(job.get()) << 32) | host.get()};
-  }
-  [[nodiscard]] static JobId key_job(SlotKey k) noexcept {
-    return JobId{static_cast<std::uint32_t>(k.packed >> 32)};
-  }
-  [[nodiscard]] static NodeId key_host(SlotKey k) noexcept {
-    return NodeId{static_cast<std::uint32_t>(k.packed & 0xffffffffu)};
-  }
-
   [[nodiscard]] std::uint32_t checked(NodeId id) const;
 
   /// (free MiB, node id): the ordered-set key of every free-memory index.
@@ -490,16 +496,34 @@ class Cluster {
   static constexpr std::uint8_t kInFree = 2;      ///< free_index_: free() > 0
   static constexpr std::uint8_t kInMemFree = 4;   ///< mem_free_index_: memory node, free() > 0
 
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  /// Where a slot lives in the job-major slab: the job's handle and the
+  /// host's position in the job's assignment order.
+  struct SlotRef {
+    std::uint32_t handle = kNil;
+    std::uint32_t pos = 0;
+    friend bool operator==(SlotRef, SlotRef) noexcept = default;
+    friend auto operator<=>(SlotRef, SlotRef) noexcept = default;
+  };
+
+  /// One job's allocation in the slab: its hosts and their slots, both in
+  /// assignment order. A free handle has an invalid job and empty vectors.
+  struct JobSlots {
+    JobId job{};
+    std::vector<NodeId> hosts;
+    std::vector<AllocationSlot> slots;
+  };
+
   /// Reverse lender -> borrow-edge index: a CSR-style edge slab. All edges
   /// of all lenders live in one flat entry pool; each lender's row is a
   /// singly-linked chain through the pool (head_[lender]), and freed
   /// entries recycle through a free list. Compared with the former
-  /// vector<vector<SlotKey>>, rows cost no per-lender heap allocation and
-  /// the whole structure is two contiguous arrays plus the pool.
+  /// vector<vector<...>>, rows cost no per-lender heap allocation and the
+  /// whole structure is two contiguous arrays plus the pool.
   struct BorrowSlab {
-    static constexpr std::uint32_t kNil = 0xffffffffu;
     struct Entry {
-      std::uint64_t key = 0;       ///< packed (job, host) slot key
+      SlotRef slot;                ///< the borrowing slot
       std::uint32_t next = kNil;   ///< next edge of the same lender
     };
     std::vector<Entry> pool;
@@ -522,28 +546,28 @@ class Cluster {
       head.resize(lenders, kNil);
       degree.resize(lenders, 0);
     }
-    void add(std::uint32_t lender, std::uint64_t key) {
-      std::uint32_t slot;
+    void add(std::uint32_t lender, SlotRef ref) {
+      std::uint32_t entry;
       if (free_head != kNil) {
-        slot = free_head;
-        free_head = pool[slot].next;
+        entry = free_head;
+        free_head = pool[entry].next;
       } else {
-        slot = static_cast<std::uint32_t>(pool.size());
+        entry = static_cast<std::uint32_t>(pool.size());
         pool.emplace_back();
       }
-      pool[slot].key = key;
-      pool[slot].next = head[lender];
-      head[lender] = slot;
+      pool[entry].slot = ref;
+      pool[entry].next = head[lender];
+      head[lender] = entry;
       ++degree[lender];
       ++live;
     }
-    /// Unlink the (unique) entry holding `key` under `lender`.
+    /// Unlink the (unique) entry holding `ref` under `lender`.
     /// Returns false if absent (callers assert).
-    bool remove(std::uint32_t lender, std::uint64_t key) {
+    bool remove(std::uint32_t lender, SlotRef ref) {
       std::uint32_t* link = &head[lender];
       while (*link != kNil) {
         Entry& e = pool[*link];
-        if (e.key == key) {
+        if (e.slot == ref) {
           const std::uint32_t dead = *link;
           *link = e.next;
           e.next = free_head;
@@ -559,7 +583,7 @@ class Cluster {
     template <typename Fn>
     void for_each(std::uint32_t lender, Fn&& fn) const {
       for (std::uint32_t it = head[lender]; it != kNil; it = pool[it].next) {
-        fn(pool[it].key);
+        fn(pool[it].slot);
       }
     }
   };
@@ -583,6 +607,12 @@ class Cluster {
   }
 
   [[nodiscard]] AllocationSlot& slot_mut(JobId job, NodeId host);
+  /// The job's slab handle, or kNil when the job is not assigned. The one
+  /// hash lookup of every job-wide call.
+  [[nodiscard]] std::uint32_t handle_of(JobId job) const;
+  /// Return the borrowed `amount` to `lender` and update its column, the
+  /// aggregate/tier totals and its index memberships.
+  void return_to_lender(std::uint32_t lender, MiB amount);
 
   /// Re-derive node `i`'s free value, memory-node flag and index
   /// memberships after a mutation of its local_used_/lent_/running_job_
@@ -649,8 +679,13 @@ class Cluster {
   std::vector<std::uint8_t> mem_node_;  ///< 1 iff lent*2 > capacity
   std::vector<std::uint8_t> index_bits_;  ///< kInHost|kInFree|kInMemFree
 
-  std::unordered_map<SlotKey, AllocationSlot, SlotKeyHash> slots_;
-  std::unordered_map<std::uint32_t, std::vector<NodeId>> job_hosts_;
+  // Job-major allocation slab: one entry per assigned job, indexed by a
+  // dense handle; finished jobs' handles recycle through a free list.
+  std::vector<JobSlots> jobs_;
+  std::vector<std::uint32_t> free_handles_;
+  std::unordered_map<std::uint32_t, std::uint32_t> handle_of_;  ///< job id -> handle
+  /// Per node: the slot of the job it runs (meaningless while idle).
+  std::vector<SlotRef> slot_ref_;
   MiB total_capacity_ = 0;
   MiB total_allocated_ = 0;
   MiB total_lent_ = 0;
@@ -661,7 +696,7 @@ class Cluster {
   FreeIndex mem_free_index_;
   std::vector<NodeId> nodes_by_capacity_;  ///< static (capacity asc, id asc)
   std::vector<MiB> capacities_sorted_;     ///< capacities in the same order
-  BorrowSlab borrow_slab_;  ///< reverse borrow index (lender -> slot keys)
+  BorrowSlab borrow_slab_;  ///< reverse borrow index (lender -> slots)
   std::uint64_t change_epoch_ = 0;
 
   // Contention dirty sets (consumed via clear_contention_dirty()).

@@ -1,6 +1,8 @@
 #include "policy/policy.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -182,9 +184,13 @@ ResizeOutcome resize_to_demand(cluster::Cluster& cluster, JobId job,
                                NodeId host, MiB demand) {
   DMSIM_ASSERT(demand >= 0, "demand must be non-negative");
   ResizeOutcome out;
-  const cluster::AllocationSlot& slot = cluster.slot(job, host);
-  const MiB current = slot.total();
-  if (demand <= current) {
+  const MiB current = cluster.slot(job, host).total();
+  if (demand == current) {
+    out.satisfied = true;
+    out.allocated = current;
+    return out;
+  }
+  if (demand < current) {
     // Shrink: deallocate remote memory before local (§2.2).
     MiB excess = current - demand;
     const MiB from_remote = cluster.shrink_remote(job, host, excess);
@@ -205,6 +211,31 @@ ResizeOutcome resize_to_demand(cluster::Cluster& cluster, JobId job,
     out.satisfied = (need == 0);
   }
   out.allocated = cluster.slot(job, host).total();
+  return out;
+}
+
+JobResizeOutcome resize_job(cluster::Cluster& cluster,
+                            const trace::JobSpec& spec, MiB base_demand) {
+  JobResizeOutcome out;
+  // Resizes mutate slot contents, never the span itself, so one view serves
+  // the whole walk.
+  const std::span<const cluster::AllocationSlot> slots =
+      cluster.job_slots(spec.id);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    // Per-node heterogeneity: lighter nodes demand a scaled-down footprint.
+    const MiB demand = static_cast<MiB>(std::llround(
+        static_cast<double>(base_demand) * spec.usage_scale(i)));
+    if (demand == slots[i].total()) continue;
+    const ResizeOutcome r =
+        resize_to_demand(cluster, spec.id, slots[i].host, demand);
+    out.released += r.released;
+    out.acquired += r.acquired;
+    out.remote_changed |= r.remote_changed;
+    if (!r.satisfied) {
+      out.satisfied = false;
+      break;
+    }
+  }
   return out;
 }
 

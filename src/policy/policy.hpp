@@ -155,12 +155,32 @@ struct ResizeOutcome {
 
 /// Actuator primitive (§2.2): bring the slot's allocation to `demand`.
 /// Shrinks release remote memory before local; grows take local memory
-/// before remote. On an unsatisfiable grow the slot keeps whatever it
-/// obtained and `satisfied` is false — the caller (scheduler) then applies
-/// the configured out-of-memory handling.
+/// before remote; a slot already at `demand` is left untouched. On an
+/// unsatisfiable grow the slot keeps whatever it obtained and `satisfied`
+/// is false — the caller (scheduler) then applies the configured
+/// out-of-memory handling.
 [[nodiscard]] ResizeOutcome resize_to_demand(cluster::Cluster& cluster,
                                              JobId job, NodeId host,
                                              MiB demand);
+
+/// Outcome of a batched Actuator step over every slot of one job.
+struct JobResizeOutcome {
+  bool satisfied = true;       ///< every slot covers its demand (false = OOM)
+  bool remote_changed = false; ///< some borrow edge changed
+  MiB released = 0;            ///< memory given back across the job
+  MiB acquired = 0;            ///< memory obtained across the job
+};
+
+/// Batched Actuator (§2.2): bring every slot of `spec.id` to its share of
+/// `base_demand` — host i's demand is llround(base_demand * usage_scale(i)).
+/// One walk of the job's slot span: a host already at its demand is
+/// skipped without touching the ledger; every other host goes through
+/// resize_to_demand in assignment order (lender choice depends on that
+/// order). Stops at the first unsatisfiable grow, like the per-host loop it
+/// replaces.
+[[nodiscard]] JobResizeOutcome resize_job(cluster::Cluster& cluster,
+                                          const trace::JobSpec& spec,
+                                          MiB base_demand);
 
 /// Outcome of a tier-migration pass over one (job, host) slot.
 struct MigrateOutcome {

@@ -456,18 +456,18 @@ void Scheduler::cover_first_window(JobId id, RunningJob& rj, Seconds first_gap) 
   // allocation; leave the ledger untouched (and the event stream unchanged).
   if (plan <= spec.requested_mem) return;
 
-  const std::span<const NodeId> hosts = cluster_.hosts_of(id);
+  const std::span<const cluster::AllocationSlot> slots = cluster_.job_slots(id);
   bool oom = false;
   bool any_changed = false;
   MiB acquired = 0;
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    const MiB current = cluster_.slot(id, hosts[i]).total();
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const MiB current = slots[i].total();
     const MiB demand =
         std::max(current, static_cast<MiB>(std::llround(
                               static_cast<double>(plan) * spec.usage_scale(i))));
     if (demand == current) continue;  // grow-only: never shrink at start
     const policy::ResizeOutcome out =
-        policy::resize_to_demand(cluster_, id, hosts[i], demand);
+        policy::resize_to_demand(cluster_, id, slots[i].host, demand);
     acquired += out.acquired;
     any_changed = true;
     if (!out.satisfied) {
@@ -477,6 +477,8 @@ void Scheduler::cover_first_window(JobId id, RunningJob& rj, Seconds first_gap) 
   }
   if (!any_changed) return;
   rj.provisioned = plan;
+  // Slots grown to max(request, plan share) match no base demand.
+  rj.applied_base = kNoAppliedBase;
   if (h_grow_mib_ != nullptr && acquired > 0) h_grow_mib_->record(acquired);
   if (obs::tracing(obs_)) {
     obs_->sink->emit(
@@ -525,8 +527,8 @@ Seconds Scheduler::reservation_shadow_time(const trace::JobSpec& head) const {
         now +
         std::max(0.0, 1.0 - progress) * spec.duration * effective_slowdown(rj);
     MiB mem = 0;
-    for (const NodeId h : cluster_.hosts_of(spec.id)) {
-      mem += cluster_.slot(spec.id, h).total();
+    for (const cluster::AllocationSlot& slot : cluster_.job_slots(spec.id)) {
+      mem += slot.total();
     }
     releases.push_back(
         Release{std::max({now, by_walltime, by_progress}), spec.num_nodes, mem});
@@ -584,25 +586,34 @@ void Scheduler::refresh_slowdowns() {
     return;
   }
   // Fast path: with no remote memory anywhere there is no contention and no
-  // latency exposure — every job runs at full speed.
+  // latency exposure — every job runs at full speed. Jobs start at 1.0, so
+  // once a sweep has reset every slowdown, later quiet-ledger refreshes
+  // have nothing to do until the incremental path runs again.
   if (cluster_.total_lent() == 0) {
     inc_slowdowns_.reset();
     cluster_.clear_contention_dirty();
-    for (auto& [id_value, rj] : running_) {
-      if (rj.slowdown != 1.0) {
-        fold_progress(rj);
-        rj.slowdown = 1.0;
-        project_end(JobId{id_value}, rj);
+    if (!unit_slowdowns_) {
+      for (auto& [id_value, rj] : running_) {
+        if (rj.slowdown != 1.0) {
+          fold_progress(rj);
+          rj.slowdown = 1.0;
+          project_end(JobId{id_value}, rj);
+        }
       }
+      unit_slowdowns_ = true;
     }
     return;
   }
+  unit_slowdowns_ = false;
   // Incremental: only jobs whose lender pressure or slot totals moved since
   // the last refresh are re-evaluated, against a persistent pressure buffer.
+  // The running set is read only by the unprimed full rebuild.
   running_ids_scratch_.clear();
-  for (const auto& [id_value, rj] : running_) {
-    (void)rj;
-    running_ids_scratch_.push_back(id_value);
+  if (!inc_slowdowns_.primed()) {
+    for (const auto& [id_value, rj] : running_) {
+      (void)rj;
+      running_ids_scratch_.push_back(id_value);
+    }
   }
   slowdown_updates_.clear();
   inc_slowdowns_.refresh(
@@ -741,28 +752,23 @@ Scheduler::UpdateResult Scheduler::apply_update(RunningJob& rj, JobId id) {
     g_mon_regions_->set(reading.regions);
   }
 
-  const std::span<const NodeId> hosts = cluster_.hosts_of(id);
+  // Skip the whole resize when the slots already sit at this base demand.
   MiB acquired = 0;
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    // Per-node heterogeneity: lighter nodes demand a scaled-down footprint.
-    const MiB demand = static_cast<MiB>(std::llround(
-        static_cast<double>(base_demand) * spec.usage_scale(i)));
-    const policy::ResizeOutcome out =
-        policy::resize_to_demand(cluster_, id, hosts[i], demand);
-    result.released += out.released;
-    acquired += out.acquired;
-    result.remote_changed |= out.remote_changed;
-    if (!out.satisfied) {
-      result.oom = true;
-      break;
-    }
+  if (base_demand != rj.applied_base) {
+    const policy::JobResizeOutcome out =
+        policy::resize_job(cluster_, spec, base_demand);
+    result.released = out.released;
+    acquired = out.acquired;
+    result.remote_changed = out.remote_changed;
+    result.oom = !out.satisfied;
+    rj.applied_base = out.satisfied ? base_demand : kNoAppliedBase;
   }
   // After resizing, promote borrowed memory toward nearer tiers freed up by
   // the shrinks (tiered topologies only — on a flat topology this is
   // statically dead and the flat event stream is untouched).
   if (!result.oom && cluster_.tiered()) {
     MiB migrated = 0;
-    for (const NodeId host : hosts) {
+    for (const NodeId host : cluster_.hosts_of(id)) {
       const policy::MigrateOutcome moved =
           policy::migrate_to_nearest_tier(cluster_, id, host);
       migrated += moved.migrated;
@@ -1312,6 +1318,7 @@ void Scheduler::restore_state(snapshot::Reader& reader, std::uint32_t version) {
   // equal slowdowns for every clean job (|delta| <= kSlowdownEps skips the
   // re-projection), so replay is unaffected.
   inc_slowdowns_.reset();
+  unit_slowdowns_ = false;
   running_ids_scratch_.clear();
   slowdown_updates_.clear();
 }

@@ -7,7 +7,7 @@
 //
 //   * Monitor/Decider — every update interval (default 5 min, staggered per
 //     job), the job's usage trace supplies the demand for the next window,
-//   * Actuator — resize_to_demand() adjusts each (job, host) slot,
+//   * Actuator — resize_job() brings each (job, host) slot to its demand,
 //   * Executor — progress/slowdown are re-projected and the job-end event is
 //     rescheduled,
 //   * Out-of-memory — Fail/Restart (resubmit from scratch) or
@@ -267,6 +267,9 @@ class Scheduler : public sim::EventHandler {
   /// or the gauge reads stale between scheduling passes.
   void set_queue_gauge();
 
+  /// RunningJob::applied_base when no resize has been memoised.
+  static constexpr MiB kNoAppliedBase = -1;
+
   struct RunningJob {
     std::size_t spec_index = 0;
     Seconds start_time = 0.0;
@@ -287,6 +290,12 @@ class Scheduler : public sim::EventHandler {
     /// until the first update). Monitors that model runtime OOM compare it
     /// against each elapsed window's true maximum.
     MiB provisioned = 0;
+    /// Base demand the last resize_job brought every slot to, or
+    /// kNoAppliedBase. Only the job's own resizes move its slot totals, so
+    /// while this matches the Monitor's next base demand the whole resize
+    /// is a no-op and is skipped. Never serialized: a restored job starts
+    /// without it and pays one full resize.
+    MiB applied_base = kNoAppliedBase;
   };
 
   [[nodiscard]] const trace::JobSpec& spec_of(std::size_t index) const {
@@ -367,6 +376,12 @@ class Scheduler : public sim::EventHandler {
   slowdown::IncrementalSlowdowns inc_slowdowns_{&model_};
   SchedulerConfig config_;
   std::unique_ptr<monitor::MemoryMonitor> monitor_;
+
+  /// True when every running job's slowdown is known to be exactly 1.0:
+  /// set by the quiet-ledger sweep in refresh_slowdowns(), cleared whenever
+  /// the incremental path (which can raise slowdowns) runs or a snapshot is
+  /// restored.
+  bool unit_slowdowns_ = false;
 
   // refresh_slowdowns() scratch, reused across calls.
   std::vector<std::uint32_t> running_ids_scratch_;

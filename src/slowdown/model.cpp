@@ -140,8 +140,7 @@ void ContentionModel::add_pressure(const cluster::Cluster& cluster, JobId job,
   const double bw = app != nullptr ? app->bw_demand_gbs : 0.0;
   if (bw <= 0.0) return;
   const bool tiered = cluster.tiered();
-  for (const NodeId h : cluster.hosts_of(job)) {
-    const cluster::AllocationSlot& slot = cluster.slot(job, h);
+  for (const cluster::AllocationSlot& slot : cluster.job_slots(job)) {
     const MiB total = slot.total();
     if (total <= 0) continue;
     for (const auto& [lender, amount] : slot.remote) {
@@ -169,10 +168,9 @@ double ContentionModel::lender_pressure(
     const AppProfile* app = profile(app_of(e.job));
     const double bw = app != nullptr ? app->bw_demand_gbs : 0.0;
     if (bw <= 0.0) continue;
-    const MiB total = cluster.slot(e.job, e.host).total();
-    if (total <= 0) continue;
+    if (e.slot_total <= 0) continue;
     double term =
-        bw * static_cast<double>(e.amount) / static_cast<double>(total);
+        bw * static_cast<double>(e.amount) / static_cast<double>(e.slot_total);
     if (tiered) term *= cluster.tier_bandwidth_factor(e.tier);
     p += term;
   }
@@ -185,8 +183,7 @@ double ContentionModel::job_slowdown(const cluster::Cluster& cluster, JobId job,
   const AppProfile* app = profile(app_profile);
   const bool tiered = cluster.tiered();
   double out = 1.0;
-  for (const NodeId h : cluster.hosts_of(job)) {
-    const cluster::AllocationSlot& slot = cluster.slot(job, h);
+  for (const cluster::AllocationSlot& slot : cluster.job_slots(job)) {
     double worst_pressure = 0.0;
     for (const auto& [lender, amount] : slot.remote) {
       (void)amount;

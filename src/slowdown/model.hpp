@@ -184,6 +184,11 @@ class IncrementalSlowdowns {
   /// Call when the ledger goes quiet (nothing lent) or nothing is running.
   void reset() noexcept { primed_ = false; }
 
+  /// True once a refresh() has built the pressure cache, until reset().
+  /// Only an unprimed refresh() reads `running_ids`, so a caller may skip
+  /// building that list (and pass an empty span) while primed() is true.
+  [[nodiscard]] bool primed() const noexcept { return primed_; }
+
   /// Bring slowdowns current. `running_ids` is the full running set (any
   /// order; only consulted on a full rebuild); `app_of` maps a job id to its
   /// app-profile index, or kNotRunning. Appends an Update for every job

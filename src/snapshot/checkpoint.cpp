@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
+#include <span>
 
 #include "cluster/cluster.hpp"
 #include "obs/counters.hpp"
@@ -38,6 +40,16 @@ void check_components(const Components& c) {
   DMSIM_ASSERT(c.engine != nullptr && c.cluster != nullptr &&
                    c.scheduler != nullptr,
                "checkpoint components must name engine, cluster and scheduler");
+}
+
+/// config_fingerprint, with the hashing time charged to `stats` as save
+/// time: the hash is part of what a save costs.
+[[nodiscard]] std::uint64_t fingerprint_for_save(const Components& components,
+                                                 Stats* stats) {
+  const auto start = std::chrono::steady_clock::now();
+  const std::uint64_t fingerprint = config_fingerprint(components);
+  if (stats != nullptr) stats->save_seconds += elapsed_since(start);
+  return fingerprint;
 }
 
 // Little-endian u32 at `offset` — the section tag each payload section
@@ -195,12 +207,16 @@ std::uint64_t config_fingerprint(const cluster::Cluster& cl,
   Writer w;
   // Cluster topology + lender policy. Byte-for-byte the same hash input as
   // before the columnar ledger: node count, then (capacity, cores, large)
-  // per node in id order — so v2-era fingerprints keep matching.
+  // per node in id order — so v2-era fingerprints keep matching. Read
+  // straight from the topology columns.
+  const std::span<const MiB> capacity = cl.capacity_column();
+  const std::span<const std::int32_t> cores = cl.cores_column();
+  const std::span<const std::uint8_t> large = cl.large_column();
   w.u32(static_cast<std::uint32_t>(cl.node_count()));
-  for (const cluster::Node& n : cl.nodes()) {
-    w.i64(n.capacity);
-    w.i64(n.cores);
-    w.boolean(n.large);
+  for (std::size_t i = 0; i < capacity.size(); ++i) {
+    w.i64(capacity[i]);
+    w.i64(cores[i]);
+    w.boolean(large[i] != 0);
   }
   w.u8(static_cast<std::uint8_t>(cl.lender_policy()));
   // Memory-tier topology — appended ONLY when non-degenerate, so every
@@ -276,6 +292,11 @@ std::uint64_t config_fingerprint(const Components& components) {
 }
 
 std::string save_bytes(const Components& components) {
+  return save_bytes(components, config_fingerprint(components));
+}
+
+std::string save_bytes(const Components& components,
+                       std::uint64_t fingerprint) {
   check_components(components);
   Writer payload;
   // Section boundaries, recorded as each component writes so the envelope
@@ -295,7 +316,7 @@ std::string save_bytes(const Components& components) {
   Writer out;
   for (const char c : detail::kMagic) out.u8(static_cast<std::uint8_t>(c));
   out.u32(kVersion);
-  out.u64(config_fingerprint(components));
+  out.u64(fingerprint);
   out.u64(payload.buffer().size());
   const std::uint64_t checksum = util::fnv1a(payload.buffer());
   std::string bytes = out.take();
@@ -331,8 +352,13 @@ void restore_bytes(std::string_view bytes, const Components& components) {
 
 void save_file(const std::string& path, const Components& components,
                Stats* stats) {
+  save_file(path, components, fingerprint_for_save(components, stats), stats);
+}
+
+void save_file(const std::string& path, const Components& components,
+               std::uint64_t fingerprint, Stats* stats) {
   const auto start = std::chrono::steady_clock::now();
-  const std::string bytes = save_bytes(components);
+  const std::string bytes = save_bytes(components, fingerprint);
   // Write-then-rename so an interrupted save never clobbers the previous
   // (complete) snapshot with a truncated one. The temp file is fsynced
   // before the rename and the directory after it — otherwise a crash right
@@ -431,6 +457,9 @@ void run_with_checkpoints(const Components& components, const Plan& plan,
   // resumed from; re-saving would capture the post-restore state and, worse,
   // loop forever on a cut that no event ever advances past.
   while (ci < cuts.size() && cuts[ci] <= components.engine->now()) ++ci;
+  // The configuration is fixed for the whole run, so its hash is too:
+  // computed at the first save only.
+  std::optional<std::uint64_t> fingerprint;
   Seconds periodic = kInf;
   if (plan.every > 0.0) {
     periodic =
@@ -450,7 +479,8 @@ void run_with_checkpoints(const Components& components, const Plan& plan,
     if (next_cut <= target) ++ci;
     while (periodic <= target) periodic += plan.every;
     if (components.engine->empty()) return;  // drained: nothing to resume
-    save_file(plan.path, components, stats);
+    if (!fingerprint) fingerprint = fingerprint_for_save(components, stats);
+    save_file(plan.path, components, *fingerprint, stats);
   }
 }
 

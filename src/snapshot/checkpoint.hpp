@@ -120,6 +120,13 @@ struct Plan {
 /// included). Const in effect: the simulation is not perturbed.
 [[nodiscard]] std::string save_bytes(const Components& components);
 
+/// save_bytes with the envelope's config fingerprint supplied by the
+/// caller, who must have computed it as config_fingerprint(components).
+/// The configuration cannot change mid-run, so a run that saves many times
+/// hashes its workload once instead of once per save.
+[[nodiscard]] std::string save_bytes(const Components& components,
+                                     std::uint64_t fingerprint);
+
 /// Restore simulation state from save_bytes output. The components must be
 /// freshly constructed from the identical configuration with the workload
 /// already submitted (fingerprint-enforced). Throws SnapshotError on
@@ -131,6 +138,11 @@ void restore_bytes(std::string_view bytes, const Components& components);
 void save_file(const std::string& path, const Components& components,
                Stats* stats = nullptr);
 
+/// save_file with a caller-computed fingerprint (see the save_bytes
+/// overload).
+void save_file(const std::string& path, const Components& components,
+               std::uint64_t fingerprint, Stats* stats = nullptr);
+
 /// Read + restore_bytes. Updates `stats` when non-null.
 void restore_file(const std::string& path, const Components& components,
                   Stats* stats = nullptr);
@@ -139,7 +151,8 @@ void restore_file(const std::string& path, const Components& components,
 /// each cut: explicit `cuts` plus every `every` seconds of sim time. Cuts
 /// at or before the current clock (e.g. the cut a restore resumed from) are
 /// skipped, as is a save after the engine drains (there is nothing left to
-/// resume). The caller must still call scheduler->finalize() afterwards.
+/// resume). The config fingerprint is computed once, at the first save.
+/// The caller must still call scheduler->finalize() afterwards.
 void run_with_checkpoints(const Components& components, const Plan& plan,
                           Stats* stats = nullptr);
 

@@ -381,23 +381,23 @@ TEST_P(ClusterFuzzTest, RandomOpSequenceKeepsInvariants) {
     } else if (op < 0.5 && !active.empty()) {
       const JobId job = active[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(active.size()) - 1))];
-      for (const auto* slot : c.job_slots(job)) {
+      for (const auto& slot : c.job_slots(job)) {
         const MiB amount = rng.uniform_int(0, 32 * kGiB);
         if (rng.bernoulli(0.5)) {
-          (void)c.grow_local(job, slot->host, amount);
+          (void)c.grow_local(job, slot.host, amount);
         } else {
-          (void)c.grow_remote(job, slot->host, amount);
+          (void)c.grow_remote(job, slot.host, amount);
         }
       }
     } else if (op < 0.75 && !active.empty()) {
       const JobId job = active[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(active.size()) - 1))];
-      for (const auto* slot : c.job_slots(job)) {
+      for (const auto& slot : c.job_slots(job)) {
         const MiB amount = rng.uniform_int(0, 32 * kGiB);
         if (rng.bernoulli(0.5)) {
-          (void)c.shrink_local(job, slot->host, amount);
+          (void)c.shrink_local(job, slot.host, amount);
         } else {
-          (void)c.shrink_remote(job, slot->host, amount);
+          (void)c.shrink_remote(job, slot.host, amount);
         }
       }
     } else if (!active.empty()) {

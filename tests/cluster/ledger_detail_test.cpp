@@ -1,8 +1,12 @@
-// Detailed ledger behaviours: shrink ordering, borrow merging, and
-// aggregate counters under interleaved multi-job traffic.
+// Detailed ledger behaviours: shrink ordering, borrow merging, aggregate
+// counters under interleaved multi-job traffic, and slab handle recycling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "cluster/cluster.hpp"
+#include "util/rng.hpp"
 
 namespace dmsim::cluster {
 namespace {
@@ -102,6 +106,84 @@ TEST(LedgerDetail, RemoteFractionBounds) {
   EXPECT_DOUBLE_EQ(c.slot(job, NodeId{0}).remote_fraction(), 1.0);  // all remote
   (void)c.grow_local(job, NodeId{0}, 30 * kGiB);
   EXPECT_DOUBLE_EQ(c.slot(job, NodeId{0}).remote_fraction(), 0.25);
+}
+
+/// borrowers_of must list every live edge of `lender` exactly once, in
+/// (job id, host position) order, with the borrowing slot's current total.
+void expect_canonical_borrowers(const Cluster& c, NodeId lender) {
+  const std::vector<Cluster::BorrowEdge> edges = c.borrowers_of(lender);
+  const auto position = [&c](const Cluster::BorrowEdge& e) {
+    const auto hosts = c.hosts_of(e.job);
+    return std::find(hosts.begin(), hosts.end(), e.host) - hosts.begin();
+  };
+  for (std::size_t i = 1; i < edges.size(); ++i) {
+    const auto& a = edges[i - 1];
+    const auto& b = edges[i];
+    EXPECT_TRUE(a.job < b.job || (a.job == b.job && position(a) < position(b)))
+        << "lender " << lender.get() << " edge " << i;
+  }
+  std::size_t expected = 0;
+  for (std::uint32_t h = 0; h < c.node_count(); ++h) {
+    const JobId job = c.running_job_of(NodeId{h});
+    if (!job.valid()) continue;
+    for (const auto& [from, amount] : c.slot(job, NodeId{h}).remote) {
+      if (from == lender) ++expected;
+    }
+  }
+  EXPECT_EQ(edges.size(), expected);
+  for (const auto& e : edges) {
+    EXPECT_EQ(e.slot_total, c.slot(e.job, e.host).total());
+  }
+}
+
+TEST(LedgerDetail, RecycledHandlesKeepInvariantsAndBorrowerOrder) {
+  // Jobs come and go so finished jobs' handles are reused by jobs with
+  // larger ids: handle order and job-id order disagree, and hosts are
+  // assigned out of id order, so only a truly canonical borrowers_of sort
+  // passes. Every operation is followed by the full invariant suite.
+  ClusterConfig cfg = make_cluster_config(12, 64 * kGiB, 4, 128 * kGiB);
+  cfg.lender_policy = LenderPolicy::MostFree;
+  Cluster c(std::move(cfg));
+  c.set_debug_parity(true);
+  util::Rng rng(2024);
+  std::vector<JobId> live;
+  std::uint32_t next_id = 1;
+  for (int step = 0; step < 400; ++step) {
+    const bool finish = !live.empty() && (live.size() >= 5 || rng.bernoulli(0.4));
+    if (finish) {
+      const std::size_t k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      c.finish_job(live[k]);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+    } else {
+      std::vector<NodeId> hosts;
+      for (std::uint32_t i = 0; i < c.node_count(); ++i) {
+        if (c.can_host(NodeId{i})) hosts.push_back(NodeId{i});
+      }
+      if (hosts.empty()) continue;
+      std::reverse(hosts.begin(), hosts.end());
+      hosts.resize(std::min<std::size_t>(
+          hosts.size(), static_cast<std::size_t>(rng.uniform_int(1, 3))));
+      const JobId job{next_id++};
+      c.assign_job(job, hosts);
+      live.push_back(job);
+      for (const NodeId h : hosts) {
+        (void)c.grow_local(job, h, rng.uniform_int(8, 64) * kGiB);
+        (void)c.grow_remote(job, h, rng.uniform_int(1, 24) * kGiB);
+      }
+      if (rng.bernoulli(0.5)) {
+        (void)c.shrink_remote(job, hosts.front(), 4 * kGiB);
+      }
+    }
+    c.check_invariants();
+    for (std::uint32_t l = 0; l < c.node_count(); ++l) {
+      expect_canonical_borrowers(c, NodeId{l});
+    }
+  }
+  for (const JobId job : live) c.finish_job(job);
+  c.check_invariants();
+  EXPECT_EQ(c.total_allocated(), 0);
+  EXPECT_EQ(c.idle_hostable_nodes(), static_cast<int>(c.node_count()));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "metrics/json_export.hpp"
 #include "monitor/monitor.hpp"
 #include "snapshot/checkpoint.hpp"
+#include "snapshot/image.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
 
@@ -225,6 +226,35 @@ TEST(CheckpointFuzz, FingerprintRejectsMismatchedConfig) {
       { auto s = Simulator::restore_from(path, cfg, tweaked, &apps); },
       snapshot::SnapshotError);
 
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointFuzz, OncePerRunFingerprintMatchesComponents) {
+  // run_with_checkpoints hashes the configuration once and stamps every
+  // save with that value; it must be exactly what config_fingerprint
+  // computes from the live components after a mid-run save.
+  const slowdown::AppPool apps = slowdown::AppPool::synthetic(util::Rng(7), 16);
+  trace::Workload jobs = fuzz_workload(43, 20);
+  for (auto& j : jobs) j.app_profile = apps.match(j.num_nodes, j.duration);
+  SimulationConfig cfg;
+  cfg.system.total_nodes = 8;
+  cfg.policy = policy::PolicyKind::Dynamic;
+
+  const std::string path = snapshot_path("once_per_run");
+  snapshot::Plan plan;
+  plan.path = path;
+  plan.every = 150.0;
+  Simulator saver(cfg, jobs, &apps);
+  ASSERT_TRUE(saver.run(plan).valid);
+  ASSERT_GT(saver.checkpoint_stats().saves, 1U);
+
+  const std::uint64_t stamped = snapshot::Image::open(path)->fingerprint();
+  EXPECT_EQ(stamped, snapshot::config_fingerprint(
+                         saver.cluster(), saver.scheduler().config(),
+                         saver.scheduler().workload()));
+  // And the stamped value still admits a restore of that configuration.
+  auto resumed = Simulator::restore_from(path, cfg, jobs, &apps);
+  EXPECT_TRUE(resumed->run().valid);
   std::remove(path.c_str());
 }
 

@@ -54,9 +54,9 @@ TEST(Baseline, StartsJobThatFitsLocally) {
   const auto job = make_job(1, 2, 32 * kGiB);
   EXPECT_TRUE(p.try_start(job, c));
   EXPECT_EQ(c.job_slots(job.id).size(), 2u);
-  for (const auto* slot : c.job_slots(job.id)) {
-    EXPECT_EQ(slot->local, 32 * kGiB);
-    EXPECT_EQ(slot->remote_total(), 0);
+  for (const auto& slot : c.job_slots(job.id)) {
+    EXPECT_EQ(slot.local, 32 * kGiB);
+    EXPECT_EQ(slot.remote_total(), 0);
   }
   c.check_invariants();
 }
@@ -115,7 +115,7 @@ TEST(Static, StartsWithLocalAllocationWhenItFits) {
   StaticPolicy p;
   const auto job = make_job(1, 1, 32 * kGiB);
   EXPECT_TRUE(p.try_start(job, c));
-  const auto* slot = c.job_slots(job.id)[0];
+  const auto* slot = &c.job_slots(job.id)[0];
   EXPECT_EQ(slot->local, 32 * kGiB);
   EXPECT_EQ(slot->remote_total(), 0);
 }
@@ -125,7 +125,7 @@ TEST(Static, BorrowsWhenRequestExceedsHostCapacity) {
   StaticPolicy p;
   const auto job = make_job(1, 1, 150 * kGiB);
   EXPECT_TRUE(p.try_start(job, c));
-  const auto* slot = c.job_slots(job.id)[0];
+  const auto* slot = &c.job_slots(job.id)[0];
   EXPECT_EQ(slot->total(), 150 * kGiB);
   EXPECT_GT(slot->remote_total(), 0);
   // Host should be the node with the most free memory (the large node).
@@ -139,7 +139,7 @@ TEST(Static, TightestFitAmongSufficientNodes) {
   const auto job = make_job(1, 1, 10 * kGiB);
   EXPECT_TRUE(p.try_start(job, c));
   // A 64 GiB node is a tighter fit than the 128 GiB node.
-  EXPECT_NE(c.job_slots(job.id)[0]->host, NodeId{3});
+  EXPECT_NE(c.job_slots(job.id)[0].host, NodeId{3});
 }
 
 TEST(Static, FailsWhenTotalFreeMemoryInsufficient) {
@@ -200,7 +200,7 @@ TEST(Static, MultiNodeJobAllocatesEveryHost) {
   EXPECT_TRUE(p.try_start(job, c));
   const auto slots = c.job_slots(job.id);
   ASSERT_EQ(slots.size(), 3u);
-  for (const auto* slot : slots) EXPECT_EQ(slot->total(), 60 * kGiB);
+  for (const auto& slot : slots) EXPECT_EQ(slot.total(), 60 * kGiB);
 }
 
 // --------------------------------------------------------------------------
@@ -281,6 +281,90 @@ TEST_F(ResizeFixture, ShrinkToZero) {
   EXPECT_TRUE(out.satisfied);
   EXPECT_EQ(out.allocated, 0);
   EXPECT_EQ(c_.total_allocated(), 0);
+  c_.check_invariants();
+}
+
+// --------------------------------------------------------------------------
+// resize_job (the batched Actuator)
+// --------------------------------------------------------------------------
+
+class ResizeJobFixture : public ::testing::Test {
+ protected:
+  // Job 1 runs on hosts {4, 1} (position order differs from id order) with
+  // usage scales {1, 0.5}. Host 4 is full locally and borrows 30 GiB over
+  // two edges recorded smallest first, so a re-sort by amount would
+  // visibly reorder them.
+  ResizeJobFixture() : c_(config()) {
+    spec_ = make_job(1, 2, 94 * kGiB);
+    spec_.node_usage_scale = {1.0, 0.5};
+    c_.assign_job(spec_.id, std::vector<NodeId>{NodeId{4}, NodeId{1}});
+    (void)c_.grow_local(spec_.id, NodeId{1}, 47 * kGiB);
+    (void)c_.grow_local(spec_.id, NodeId{4}, 64 * kGiB);
+    (void)c_.grow_remote(spec_.id, NodeId{4}, 10 * kGiB);
+    (void)c_.grow_remote(spec_.id, NodeId{4}, 20 * kGiB);
+    c_.clear_contention_dirty();
+  }
+  static cluster::ClusterConfig config() {
+    cluster::ClusterConfig cfg = cluster::make_cluster_config(6, 64 * kGiB, 0, 0);
+    cfg.lender_policy = cluster::LenderPolicy::MostFree;
+    return cfg;
+  }
+  cluster::Cluster c_;
+  trace::JobSpec spec_;
+};
+
+TEST_F(ResizeJobFixture, NoopLeavesLedgerUntouched) {
+  const auto& borrower = c_.slot(spec_.id, NodeId{4});
+  ASSERT_EQ(borrower.remote.size(), 2u);
+  ASSERT_LT(borrower.remote[0].second, borrower.remote[1].second);
+  const std::vector<std::pair<NodeId, MiB>> remote_before = borrower.remote;
+  const std::uint64_t epoch = c_.change_epoch();
+
+  const JobResizeOutcome out = resize_job(c_, spec_, 94 * kGiB);
+  EXPECT_TRUE(out.satisfied);
+  EXPECT_FALSE(out.remote_changed);
+  EXPECT_EQ(out.released, 0);
+  EXPECT_EQ(out.acquired, 0);
+  EXPECT_EQ(c_.change_epoch(), epoch);
+  EXPECT_TRUE(c_.dirty_jobs().empty());
+  EXPECT_TRUE(c_.dirty_lenders().empty());
+  EXPECT_EQ(c_.slot(spec_.id, NodeId{4}).remote, remote_before);
+  EXPECT_TRUE(c_.slot(spec_.id, NodeId{1}).remote.empty());
+  c_.check_invariants();
+}
+
+TEST_F(ResizeJobFixture, MatchesPerHostResizeInAssignmentOrder) {
+  // The batched walk must leave exactly the ledger the per-host Actuator
+  // loop leaves. Both hosts spill into the pool, host 4 first: it claims
+  // the most-free lenders, and host 1 borrows from what remains.
+  cluster::Cluster per_host = c_;
+  const MiB base = 140 * kGiB;
+  const JobResizeOutcome out = resize_job(c_, spec_, base);
+  const auto first = resize_to_demand(per_host, spec_.id, NodeId{4}, base);
+  const auto second =
+      resize_to_demand(per_host, spec_.id, NodeId{1}, base / 2);
+  EXPECT_TRUE(out.satisfied);
+  EXPECT_TRUE(out.remote_changed);
+  EXPECT_EQ(out.released, 0);
+  EXPECT_EQ(out.acquired, first.acquired + second.acquired);
+  const auto batched = c_.job_slots(spec_.id);
+  const auto reference = per_host.job_slots(spec_.id);
+  ASSERT_EQ(batched.size(), reference.size());
+  for (std::size_t i = 0; i < batched.size(); ++i) {
+    EXPECT_EQ(batched[i].host, reference[i].host);
+    EXPECT_EQ(batched[i].local, reference[i].local);
+    EXPECT_EQ(batched[i].remote, reference[i].remote);
+  }
+  EXPECT_EQ(c_.slot(spec_.id, NodeId{4}).total(), base);
+  EXPECT_EQ(c_.slot(spec_.id, NodeId{1}).total(), base / 2);
+  c_.check_invariants();
+}
+
+TEST_F(ResizeJobFixture, StopsAtTheFirstUnsatisfiableHost) {
+  // 384 GiB system: host 4 cannot reach 400 GiB, so host 1 is never tried.
+  const JobResizeOutcome out = resize_job(c_, spec_, 400 * kGiB);
+  EXPECT_FALSE(out.satisfied);
+  EXPECT_EQ(c_.slot(spec_.id, NodeId{1}).total(), 47 * kGiB);
   c_.check_invariants();
 }
 

@@ -54,9 +54,9 @@ TEST(Heterogeneity, DynamicShrinksLightNodesMore) {
   rig.engine.run_until(700.0);
   const auto slots = rig.cluster.job_slots(JobId{1});
   ASSERT_EQ(slots.size(), 3u);
-  EXPECT_EQ(slots[0]->total(), 40 * kGiB);
-  EXPECT_EQ(slots[1]->total(), 20 * kGiB);
-  EXPECT_EQ(slots[2]->total(), 20 * kGiB);
+  EXPECT_EQ(slots[0].total(), 40 * kGiB);
+  EXPECT_EQ(slots[1].total(), 20 * kGiB);
+  EXPECT_EQ(slots[2].total(), 20 * kGiB);
   rig.engine.run();
   EXPECT_EQ(rig.cluster.total_allocated(), 0);
 }
@@ -74,8 +74,8 @@ TEST(Heterogeneity, StaticIgnoresScales) {
   j.node_usage_scale = {1.0, 0.5};
   rig.scheduler.submit_workload({j});
   rig.engine.run_until(700.0);
-  for (const auto* slot : rig.cluster.job_slots(JobId{1})) {
-    EXPECT_EQ(slot->total(), 40 * kGiB);  // request held on every node
+  for (const auto& slot : rig.cluster.job_slots(JobId{1})) {
+    EXPECT_EQ(slot.total(), 40 * kGiB);  // request held on every node
   }
   rig.engine.run();
 }

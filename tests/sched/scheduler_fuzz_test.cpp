@@ -3,11 +3,17 @@
 // consistent per-job records. The cluster ledger is additionally audited
 // mid-run — every 500 sim-seconds — so an invariant broken transiently by an
 // OOM requeue or walltime kill is caught at the event that broke it, not
-// masked by the final drain.
+// masked by the final drain. Every Monitor update is audited as it happens:
+// the Actuator must leave each slot exactly at its share of the update's
+// base demand, whether it resized or skipped the resize as already done.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <memory>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "policy/policy.hpp"
 #include "sched/scheduler.hpp"
@@ -48,6 +54,72 @@ struct FuzzParams {
 
 class SchedulerFuzzTest : public ::testing::TestWithParam<FuzzParams> {};
 
+/// Trace sink auditing the Actuator's postcondition at every Monitor update
+/// that did not OOM: slot i of the job holds exactly
+/// llround(base demand x usage_scale(i)). A resize skipped on a stale memo
+/// leaves some slot elsewhere and fails here. cover_first_window's grow-only
+/// event (slots at max(request, share)) precedes the job's start event, so
+/// only updates of started jobs are audited.
+class ActuatorAuditSink final : public obs::TraceSink {
+ public:
+  ActuatorAuditSink(const cluster::Cluster& cluster,
+                    const trace::Workload& jobs)
+      : cluster_(cluster) {
+    for (const trace::JobSpec& spec : jobs) specs_.emplace(spec.id.get(), &spec);
+  }
+
+  void emit(const obs::Event& e) override {
+    switch (e.kind) {
+      case obs::EventKind::JobStart:
+      case obs::EventKind::BackfillStart:
+        started_.insert(e.job);
+        break;
+      case obs::EventKind::JobComplete:
+      case obs::EventKind::JobOomKill:
+      case obs::EventKind::JobWalltimeKill:
+        started_.erase(e.job);
+        break;
+      case obs::EventKind::MonitorUpdate:
+        if (started_.contains(e.job) && field(e, "oom") == 0) audit(e);
+        break;
+      default:
+        break;
+    }
+  }
+  void close() override {}
+
+  [[nodiscard]] std::uint64_t audited() const noexcept { return audited_; }
+
+ private:
+  [[nodiscard]] static std::int64_t field(const obs::Event& e,
+                                          std::string_view key) {
+    for (std::size_t i = 0; i < e.num_fields; ++i) {
+      if (key == e.fields[i].key) return e.fields[i].value;
+    }
+    ADD_FAILURE() << "monitor update without field " << key;
+    return -1;
+  }
+
+  void audit(const obs::Event& e) {
+    const trace::JobSpec& spec = *specs_.at(static_cast<std::uint32_t>(e.job));
+    const MiB base = field(e, "demand_mib");
+    const auto slots = cluster_.job_slots(spec.id);
+    ASSERT_EQ(slots.size(), static_cast<std::size_t>(spec.num_nodes));
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      EXPECT_EQ(slots[i].total(),
+                static_cast<MiB>(std::llround(static_cast<double>(base) *
+                                              spec.usage_scale(i))))
+          << "job " << e.job << " slot " << i << " at t=" << e.time;
+    }
+    ++audited_;
+  }
+
+  const cluster::Cluster& cluster_;
+  std::unordered_map<std::uint32_t, const trace::JobSpec*> specs_;
+  std::unordered_set<std::int64_t> started_;
+  std::uint64_t audited_ = 0;
+};
+
 trace::Workload random_workload(util::Rng& rng, std::size_t count,
                                 const workload::GoogleUsageLibrary& shapes,
                                 const slowdown::AppPool* apps,
@@ -85,6 +157,37 @@ trace::Workload random_workload(util::Rng& rng, std::size_t count,
   return jobs;
 }
 
+/// Append jobs built to expose a stale resize memo. Usage spikes to 1.5x the
+/// request early in the zeroth Monitor window — so cover_first_window grows
+/// the slots above the request — then settles exactly at the request, with
+/// per-node scales below 1. Under the oracle every update's base demand is
+/// then the request itself, and the Actuator must still bring each slot
+/// down to its scaled share instead of trusting a memo set at start.
+void append_settling_jobs(util::Rng& rng, std::size_t count,
+                          const slowdown::AppPool* apps,
+                          trace::Workload& jobs) {
+  static constexpr double kScales[] = {1.0, 0.75, 0.5, 0.9};
+  for (std::size_t k = 0; k < count; ++k) {
+    trace::JobSpec j;
+    j.id = JobId{static_cast<std::uint32_t>(jobs.size() + 1)};
+    j.submit_time = rng.uniform(0.0, 20000.0);
+    j.num_nodes = static_cast<int>(rng.uniform_int(2, 4));
+    j.duration = rng.uniform(3600.0, 14400.0);
+    j.walltime = 2.0 * j.duration;
+    j.requested_mem = rng.uniform_int(4 * kGiB, 48 * kGiB);
+    // The zeroth window spans at least half an update interval (150 s at
+    // the default 300 s); the spike ends after 60 s.
+    j.usage = trace::UsageTrace(std::vector<trace::UsagePoint>{
+        {0.0, j.requested_mem * 3 / 2}, {60.0 / j.duration, j.requested_mem}});
+    j.node_usage_scale.assign(std::begin(kScales),
+                              std::begin(kScales) + j.num_nodes);
+    if (apps != nullptr && !apps->empty()) {
+      j.app_profile = apps->match(j.num_nodes, j.duration, j.requested_mem);
+    }
+    jobs.push_back(std::move(j));
+  }
+}
+
 TEST_P(SchedulerFuzzTest, TerminatesConsistently) {
   const FuzzParams params = GetParam();
   util::Rng rng(params.seed);
@@ -98,6 +201,7 @@ TEST_P(SchedulerFuzzTest, TerminatesConsistently) {
   trace::Workload jobs = random_workload(wl_rng, 40, shapes, pool,
                                          params.enforce_walltime,
                                          params.degenerate);
+  append_settling_jobs(wl_rng, 6, pool, jobs);
 
   cluster::ClusterConfig cluster_cfg =
       cluster::make_cluster_config(6, 64 * kGiB, 2, 128 * kGiB);
@@ -141,7 +245,9 @@ TEST_P(SchedulerFuzzTest, TerminatesConsistently) {
   // and overflow in the window arithmetic must saturate, not go NaN.
   if (params.degenerate) cfg.update_interval = 9e15;
   sim::Engine engine;
-  Scheduler scheduler(engine, cluster, *policy, pool, cfg);
+  ActuatorAuditSink actuator_audit(cluster, jobs);
+  const obs::Observer observer{&actuator_audit, nullptr, &engine};
+  Scheduler scheduler(engine, cluster, *policy, pool, cfg, &observer);
   scheduler.submit_workload(jobs);
 
   // Property 0: the ledger is consistent at every point of the run, not just
@@ -168,6 +274,9 @@ TEST_P(SchedulerFuzzTest, TerminatesConsistently) {
 
   scheduler.run();
   EXPECT_GT(audits, 0u);
+  if (params.policy == policy::PolicyKind::Dynamic && !params.degenerate) {
+    EXPECT_GT(actuator_audit.audited(), 0u);
+  }
 
   // Property 1: ledger fully drained and consistent.
   cluster.check_invariants();

@@ -14,12 +14,16 @@
 //     re-save byte-identical, and the header carries version 5,
 //   * corrupt payloads, truncation, bad magic and out-of-range versions are
 //     rejected loudly before any component state is touched, and file-level
-//     restore errors name the offending path.
+//     restore errors name the offending path,
+//   * a cluster section whose job list cannot describe its node columns
+//     (host counts out of range, busy nodes without slots, duplicate
+//     slots) is a typed error.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -147,6 +151,78 @@ TEST(SnapshotCompat, V2RejectsOutOfRangeLedger) {
   snapshot::Reader r(w.buffer());
   EXPECT_THROW(c.restore_state(r, /*format_version=*/2),
                snapshot::SnapshotError);
+}
+
+TEST(SnapshotCompat, RejectsSlotsThatDisagreeWithTheNodes) {
+  // The job-major slab is rebuilt from the section's job list; a list that
+  // cannot describe the node columns must fail as a typed error rather
+  // than trip an invariant abort (or a huge reserve) later.
+  const cluster::ClusterConfig cfg = small_config();
+  const auto n = static_cast<std::uint32_t>(cfg.nodes.size());
+  // Node 0 runs job 7 and node 1 runs job 9; `jobs` writes the job list.
+  const auto section = [&](const std::function<void(snapshot::Writer&)>& jobs) {
+    snapshot::Writer w;
+    w.section(snapshot::section_tag('C', 'L', 'U', 'S'));
+    w.u32(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      w.u32(i == 0 ? 7 : i == 1 ? 9 : NodeId::kInvalid);
+      w.i64(0);
+      w.i64(0);
+    }
+    jobs(w);
+    w.i64(0);
+    w.i64(0);
+    w.u64(0);
+    return w;
+  };
+  const auto slot = [](snapshot::Writer& w, std::uint32_t host) {
+    w.u32(host);
+    w.i64(0);  // local
+    w.u32(0);  // no borrow edges
+  };
+  const auto rejects = [&](const snapshot::Writer& w) {
+    cluster::Cluster c(cfg);
+    snapshot::Reader r(w.buffer());
+    EXPECT_THROW(c.restore_state(r, /*format_version=*/2),
+                 snapshot::SnapshotError);
+  };
+  rejects(section([&](snapshot::Writer& w) {  // more hosts than nodes
+    w.u32(1);
+    w.u32(7);
+    w.u32(n + 1);
+  }));
+  rejects(section([&](snapshot::Writer& w) {  // node 1 busy without a slot
+    w.u32(1);
+    w.u32(7);
+    w.u32(1);
+    slot(w, 0);
+  }));
+  rejects(section([&](snapshot::Writer& w) {  // one host listed twice
+    w.u32(2);
+    w.u32(7);
+    w.u32(2);
+    slot(w, 0);
+    slot(w, 0);
+    w.u32(9);
+    w.u32(1);
+    slot(w, 1);
+  }));
+  {  // the consistent list restores
+    cluster::Cluster c(cfg);
+    const snapshot::Writer w = section([&](snapshot::Writer& out) {
+      out.u32(2);
+      out.u32(7);
+      out.u32(1);
+      slot(out, 0);
+      out.u32(9);
+      out.u32(1);
+      slot(out, 1);
+    });
+    snapshot::Reader r(w.buffer());
+    c.restore_state(r, /*format_version=*/2);
+    EXPECT_EQ(c.hosts_of(JobId{9}).size(), 1u);
+    c.check_invariants();
+  }
 }
 
 TEST(SnapshotCompat, V3ColumnarTierlessSectionRestores) {
