@@ -281,11 +281,9 @@ void BM_WorkloadGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadGeneration)->Arg(512)->Unit(benchmark::kMillisecond);
 
-// Checkpoint cost: serialize a mid-run simulation (engine + cluster +
-// scheduler) to snapshot bytes and restore those bytes into a second,
-// freshly-constructed simulation. Bounds the per-save overhead a
-// --checkpoint-every run pays and the one-time cost of a resume.
-void BM_CheckpointSaveRestore(benchmark::State& state) {
+// The mid-run state the checkpoint benches below save and restore: a
+// 64-node Dynamic cell over a 128-job synthetic workload.
+[[nodiscard]] workload::SyntheticWorkload restore_bench_workload() {
   workload::SyntheticWorkloadConfig cfg;
   cfg.cirne.num_jobs = 128;
   cfg.cirne.system_nodes = 64;
@@ -293,35 +291,29 @@ void BM_CheckpointSaveRestore(benchmark::State& state) {
   cfg.pct_large_jobs = 0.5;
   cfg.overestimation = 0.6;
   cfg.seed = 4;
-  const auto w = workload::generate_synthetic(cfg);
+  return workload::generate_synthetic(cfg);
+}
 
-  struct BenchSim {
-    explicit BenchSim(const workload::SyntheticWorkload& w) {
-      harness::SystemConfig sys;
-      sys.total_nodes = 64;
-      sys.pct_large_nodes = 0.25;
-      cluster_ = std::make_unique<cluster::Cluster>(sys.to_cluster_config());
-      policy_ = policy::make_policy(policy::PolicyKind::Dynamic);
-      sched::SchedulerConfig cfg;
-      cfg.sample_interval = 300.0;
-      scheduler_ = std::make_unique<sched::Scheduler>(
-          engine_, *cluster_, *policy_, &w.apps, cfg, nullptr);
-      scheduler_->submit_workload(w.jobs);
-    }
-    [[nodiscard]] snapshot::Components components() noexcept {
-      return {&engine_, cluster_.get(), scheduler_.get(), nullptr};
-    }
-    sim::Engine engine_;
-    std::unique_ptr<cluster::Cluster> cluster_;
-    std::unique_ptr<policy::AllocationPolicy> policy_;
-    std::unique_ptr<sched::Scheduler> scheduler_;
-  };
+[[nodiscard]] harness::CellConfig restore_bench_cell() {
+  harness::CellConfig cell;
+  cell.system.total_nodes = 64;
+  cell.system.pct_large_nodes = 0.25;
+  cell.policy = policy::PolicyKind::Dynamic;
+  cell.sched.sample_interval = 300.0;
+  return cell;
+}
 
+// Checkpoint cost: serialize a mid-run simulation (engine + cluster +
+// scheduler) to snapshot bytes and restore those bytes into a second,
+// freshly-constructed simulation. Bounds the per-save overhead a
+// --checkpoint-every run pays and the one-time cost of a resume.
+void BM_CheckpointSaveRestore(benchmark::State& state) {
+  const auto w = restore_bench_workload();
   // Advance the source simulation to a busy mid-point, and keep a fresh
   // restore target (components constructed, workload submitted, not run).
-  BenchSim source(w);
-  BenchSim target(w);
-  (void)source.scheduler_->run_ready(20000.0);
+  harness::Cell source(restore_bench_cell(), w.jobs, &w.apps);
+  harness::Cell target(restore_bench_cell(), w.jobs, &w.apps);
+  (void)source.scheduler().run_ready(20000.0);
   const snapshot::Components src = source.components();
   const snapshot::Components dst = target.components();
 
@@ -343,44 +335,11 @@ BENCHMARK(BM_CheckpointSaveRestore)->Unit(benchmark::kMicrosecond);
 // validated once, each fork is a decode plus one 64-bit fingerprint
 // compare. CI asserts the fork is at least 5x cheaper — the floor that
 // keeps validation and byte copies out of the per-fork path.
-struct RestoreBenchSim {
-  explicit RestoreBenchSim(const workload::SyntheticWorkload& w) {
-    harness::SystemConfig sys;
-    sys.total_nodes = 64;
-    sys.pct_large_nodes = 0.25;
-    cluster_ = std::make_unique<cluster::Cluster>(sys.to_cluster_config());
-    policy_ = policy::make_policy(policy::PolicyKind::Dynamic);
-    sched::SchedulerConfig cfg;
-    cfg.sample_interval = 300.0;
-    scheduler_ = std::make_unique<sched::Scheduler>(
-        engine_, *cluster_, *policy_, &w.apps, cfg, nullptr);
-    scheduler_->submit_workload(w.jobs);
-  }
-  [[nodiscard]] snapshot::Components components() noexcept {
-    return {&engine_, cluster_.get(), scheduler_.get(), nullptr};
-  }
-  sim::Engine engine_;
-  std::unique_ptr<cluster::Cluster> cluster_;
-  std::unique_ptr<policy::AllocationPolicy> policy_;
-  std::unique_ptr<sched::Scheduler> scheduler_;
-};
-
-[[nodiscard]] workload::SyntheticWorkload restore_bench_workload() {
-  workload::SyntheticWorkloadConfig cfg;
-  cfg.cirne.num_jobs = 128;
-  cfg.cirne.system_nodes = 64;
-  cfg.cirne.max_job_nodes = 16;
-  cfg.pct_large_jobs = 0.5;
-  cfg.overestimation = 0.6;
-  cfg.seed = 4;
-  return workload::generate_synthetic(cfg);
-}
-
 void BM_RestoreFromFile(benchmark::State& state) {
   const auto w = restore_bench_workload();
-  RestoreBenchSim source(w);
-  RestoreBenchSim target(w);
-  (void)source.scheduler_->run_ready(20000.0);
+  harness::Cell source(restore_bench_cell(), w.jobs, &w.apps);
+  harness::Cell target(restore_bench_cell(), w.jobs, &w.apps);
+  (void)source.scheduler().run_ready(20000.0);
   const std::string path = "micro_restore.snap";
   snapshot::save_file(path, source.components());
   const snapshot::Components dst = target.components();
@@ -394,9 +353,9 @@ BENCHMARK(BM_RestoreFromFile)->Unit(benchmark::kMicrosecond);
 
 void BM_ForkFromImage(benchmark::State& state) {
   const auto w = restore_bench_workload();
-  RestoreBenchSim source(w);
-  RestoreBenchSim target(w);
-  (void)source.scheduler_->run_ready(20000.0);
+  harness::Cell source(restore_bench_cell(), w.jobs, &w.apps);
+  harness::Cell target(restore_bench_cell(), w.jobs, &w.apps);
+  (void)source.scheduler().run_ready(20000.0);
   const std::string path = "micro_fork.snap";
   snapshot::save_file(path, source.components());
   const std::shared_ptr<const snapshot::Image> image = snapshot::Image::open(path);
@@ -641,65 +600,56 @@ BENCHMARK(BM_GrowRemote);
 // and shrinking them all at each reset. Demand stays within local memory,
 // as in the exa-Grizzly weeks, so the contention refresh stays cheap and
 // the resize path dominates.
-struct MonitorUpdateRig {
-  static constexpr int kJobs = 48;
-  static constexpr int kHostsPerJob = 30;
-  static constexpr Seconds kInterval = 300.0;
-  static constexpr int kWindows = 4000;  ///< updates per job lifetime
+constexpr int kRigJobs = 48;
+constexpr int kRigHostsPerJob = 30;
+constexpr Seconds kRigInterval = 300.0;
+constexpr int kRigWindows = 4000;  ///< updates per job lifetime
 
-  sim::Engine engine;
-  cluster::Cluster cluster{cluster::make_cluster_config(kScNormal, 64 * kGiB,
-                                                        kScLarge, 128 * kGiB)};
-  std::unique_ptr<policy::AllocationPolicy> policy =
-      policy::make_policy(policy::PolicyKind::Dynamic);
-  sched::Scheduler scheduler;
-
-  explicit MonitorUpdateRig(bool memo_hit)
-      : scheduler(engine, cluster, *policy, nullptr, config()) {
-    trace::UsageTrace usage = trace::UsageTrace::constant(44 * kGiB);
-    if (!memo_hit) {
-      std::vector<trace::UsagePoint> points;
-      const int steps = 2 * kWindows;
-      for (int k = 0; k < steps; ++k) {
-        points.push_back(trace::UsagePoint{
-            static_cast<double>(k) / steps,
-            40 * kGiB + static_cast<MiB>(k % 50) * 256});
-      }
-      usage = trace::UsageTrace(std::move(points));
+[[nodiscard]] std::unique_ptr<harness::Cell> monitor_update_rig(bool memo_hit) {
+  trace::UsageTrace usage = trace::UsageTrace::constant(44 * kGiB);
+  if (!memo_hit) {
+    std::vector<trace::UsagePoint> points;
+    const int steps = 2 * kRigWindows;
+    for (int k = 0; k < steps; ++k) {
+      points.push_back(trace::UsagePoint{
+          static_cast<double>(k) / steps,
+          40 * kGiB + static_cast<MiB>(k % 50) * 256});
     }
-    trace::Workload jobs;
-    for (std::uint32_t i = 1; i <= kJobs; ++i) {
-      trace::JobSpec spec;
-      spec.id = JobId{i};
-      spec.num_nodes = kHostsPerJob;
-      spec.requested_mem = 48 * kGiB;
-      spec.duration = kInterval * kWindows;
-      spec.walltime = 2.0 * spec.duration;
-      spec.usage = usage;
-      jobs.push_back(std::move(spec));
-    }
-    scheduler.submit_workload(std::move(jobs));
-    (void)scheduler.run_ready(0.0);  // submissions + the starting pass
+    usage = trace::UsageTrace(std::move(points));
   }
-
-  static sched::SchedulerConfig config() {
-    sched::SchedulerConfig cfg;
-    cfg.update_interval = kInterval;
-    return cfg;
+  trace::Workload jobs;
+  for (std::uint32_t i = 1; i <= kRigJobs; ++i) {
+    trace::JobSpec spec;
+    spec.id = JobId{i};
+    spec.num_nodes = kRigHostsPerJob;
+    spec.requested_mem = 48 * kGiB;
+    spec.duration = kRigInterval * kRigWindows;
+    spec.walltime = 2.0 * spec.duration;
+    spec.usage = usage;
+    jobs.push_back(std::move(spec));
   }
-};
+  harness::CellConfig cell;  // the sc cluster: 1024 normal + 466 large nodes
+  cell.system.total_nodes = kScNormal + kScLarge;
+  cell.system.pct_large_nodes =
+      static_cast<double>(kScLarge) / (kScNormal + kScLarge);
+  cell.policy = policy::PolicyKind::Dynamic;
+  cell.sched.update_interval = kRigInterval;
+  auto rig = std::make_unique<harness::Cell>(cell, std::move(jobs), nullptr);
+  (void)rig->scheduler().run_ready(0.0);  // submissions + the starting pass
+  return rig;
+}
 
 void BM_MonitorUpdate(benchmark::State& state) {
   const bool memo_hit = state.range(0) == 0;
-  auto rig = std::make_unique<MonitorUpdateRig>(memo_hit);
+  auto rig = monitor_update_rig(memo_hit);
   for (auto _ : state) {
-    if (rig->engine.empty()) {
+    if (rig->components().engine->empty()) {
       // Every job finished: rebuild off the clock.
       state.PauseTiming();
-      rig = std::make_unique<MonitorUpdateRig>(memo_hit);
+      rig = monitor_update_rig(memo_hit);
       state.ResumeTiming();
     }
-    benchmark::DoNotOptimize(rig->engine.step());
+    benchmark::DoNotOptimize(rig->components().engine->step());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel(memo_hit ? "memo hit" : "memo missed");

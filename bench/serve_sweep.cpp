@@ -38,28 +38,6 @@ using namespace dmsim;
 constexpr double kForkSpeedupFloor = 5.0;
 constexpr int kTimingIterations = 30;
 
-/// Fresh simulation components, mirroring run_cell's construction: the
-/// restore target every timing iteration starts from.
-struct FreshComponents {
-  cluster::Cluster cluster;
-  std::unique_ptr<policy::AllocationPolicy> policy;
-  sim::Engine engine;
-  std::unique_ptr<sched::Scheduler> scheduler;
-
-  FreshComponents(const harness::SystemConfig& sys, policy::PolicyKind kind,
-                  const sched::SchedulerConfig& sched,
-                  const trace::Workload& jobs, const slowdown::AppPool& apps)
-      : cluster(sys.to_cluster_config()), policy(policy::make_policy(kind)) {
-    scheduler = std::make_unique<sched::Scheduler>(engine, cluster, *policy,
-                                                   &apps, sched);
-    scheduler->submit_workload(jobs);
-  }
-
-  [[nodiscard]] snapshot::Components view() {
-    return snapshot::Components{&engine, &cluster, scheduler.get(), nullptr};
-  }
-};
-
 [[nodiscard]] double mean_ms(const std::vector<double>& ms) {
   if (ms.empty()) return 0.0;
   return std::accumulate(ms.begin(), ms.end(), 0.0) /
@@ -124,17 +102,17 @@ int main(int argc, char** argv) {
   std::vector<double> fork_ms;
   for (int i = 0; i < kTimingIterations; ++i) {
     {
-      FreshComponents fresh(sys, kPolicy, sched, w.jobs, w.apps);
+      harness::Cell fresh(base, w.jobs, &w.apps);
       const auto t0 = std::chrono::steady_clock::now();
-      snapshot::restore_file(snapshot_path, fresh.view());
+      snapshot::restore_file(snapshot_path, fresh.components());
       restore_ms.push_back(std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - t0)
                                .count());
     }
     {
-      FreshComponents fresh(sys, kPolicy, sched, w.jobs, w.apps);
+      harness::Cell fresh(base, w.jobs, &w.apps);
       const auto t0 = std::chrono::steady_clock::now();
-      image->materialize_trusted(fresh.view(), base_fp);
+      image->materialize_trusted(fresh.components(), base_fp);
       fork_ms.push_back(std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() - t0)
                             .count());

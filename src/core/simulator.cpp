@@ -6,54 +6,40 @@
 
 namespace dmsim {
 
-Simulator::Simulator(const SimulationConfig& config, trace::Workload workload,
-                     const slowdown::AppPool* apps, obs::TraceSink* sink,
-                     obs::Counters* counters)
-    : Simulator(config, std::move(workload), apps, sink, counters,
-                /*defer_sink=*/false) {}
+namespace {
+
+// A registry, when supplied, always lands in the result's telemetry.
+[[nodiscard]] harness::CellConfig cell_config(const SimulationConfig& config,
+                                              const obs::Counters* counters) {
+  harness::CellConfig cell;
+  cell.system = config.system;
+  cell.policy = config.policy;
+  cell.sched = config.sched;
+  cell.collect_telemetry = counters != nullptr;
+  return cell;
+}
+
+}  // namespace
 
 Simulator::Simulator(const SimulationConfig& config, trace::Workload workload,
                      const slowdown::AppPool* apps, obs::TraceSink* sink,
-                     obs::Counters* counters, bool defer_sink)
-    : config_(config),
-      engine_(std::make_unique<sim::Engine>()),
-      cluster_(std::make_unique<cluster::Cluster>(
-          config.system.to_cluster_config())),
-      policy_(policy::make_policy(config.policy)),
-      observer_{defer_sink ? nullptr : sink, counters, engine_.get()} {
-  // With a deferred sink the observer is still wired through every layer
-  // (components hold its address), but traces nothing until restore_from
-  // attaches the sink post-restore.
-  const bool wired = sink != nullptr || counters != nullptr;
-  if (wired) {
-    engine_->set_observer(&observer_);
-    cluster_->set_observer(&observer_);
-    policy_->set_observer(&observer_);
-  }
-  const obs::Observer* obs_ptr = wired ? &observer_ : nullptr;
-  scheduler_ = std::make_unique<sched::Scheduler>(*engine_, *cluster_, *policy_,
-                                                  apps, config.sched, obs_ptr);
-  scheduler_->submit_workload(std::move(workload));
-  infeasible_ = scheduler_->infeasible_count();
-}
+                     obs::Counters* counters)
+    : cell_(cell_config(config, counters), std::move(workload), apps, sink,
+            counters) {}
+
+Simulator::Simulator(const harness::CellConfig& cell, trace::Workload workload,
+                     const slowdown::AppPool* apps, obs::TraceSink* sink,
+                     obs::Counters* counters,
+                     const std::optional<std::string>& snapshot_path)
+    : cell_(cell, std::move(workload), apps, sink, counters, snapshot_path) {}
 
 std::unique_ptr<Simulator> Simulator::restore_from(
     const std::string& snapshot_path, const SimulationConfig& config,
     trace::Workload workload, const slowdown::AppPool* apps,
     obs::TraceSink* sink, obs::Counters* counters) {
-  // Construct with the sink deferred: workload submission replays engine
-  // schedule events whose trace records the saving run already emitted, and
-  // the resumed trace must be exactly the uninterrupted run's suffix.
-  auto sim = std::unique_ptr<Simulator>(new Simulator(
-      config, std::move(workload), apps, sink, counters, /*defer_sink=*/true));
-  snapshot::restore_file(snapshot_path, sim->components(), &sim->ck_stats_);
-  if (sink != nullptr) {
-    sim->observer_.sink = sink;
-    // The engine caches the sink pointer at set_observer time; re-wire now
-    // that the sink is live. Cluster/policy/scheduler read it dynamically.
-    sim->engine_->set_observer(&sim->observer_);
-  }
-  return sim;
+  return std::unique_ptr<Simulator>(
+      new Simulator(cell_config(config, counters), std::move(workload), apps,
+                    sink, counters, snapshot_path));
 }
 
 std::unique_ptr<Simulator> Simulator::restore_from(
@@ -62,57 +48,17 @@ std::unique_ptr<Simulator> Simulator::restore_from(
     const slowdown::AppPool* apps, obs::TraceSink* sink,
     obs::Counters* counters) {
   DMSIM_ASSERT(image != nullptr, "restore_from needs an image");
-  auto sim = std::unique_ptr<Simulator>(new Simulator(
-      config, std::move(workload), apps, sink, counters, /*defer_sink=*/true));
-  image->materialize(sim->components());
-  ++sim->ck_stats_.restores;
-  sim->ck_stats_.bytes_read += image->size_bytes();
-  if (sink != nullptr) {
-    sim->observer_.sink = sink;
-    sim->engine_->set_observer(&sim->observer_);
-  }
-  return sim;
+  harness::CellConfig cell = cell_config(config, counters);
+  cell.restore_image = std::move(image);
+  return std::unique_ptr<Simulator>(new Simulator(
+      cell, std::move(workload), apps, sink, counters, std::nullopt));
 }
-
-snapshot::Components Simulator::components() noexcept {
-  return snapshot::Components{engine_.get(), cluster_.get(), scheduler_.get(),
-                              observer_.counters};
-}
-
-SimulationResult Simulator::run() { return run_impl(nullptr); }
 
 SimulationResult Simulator::run(const snapshot::Plan& plan) {
-  return run_impl(&plan);
-}
-
-SimulationResult Simulator::run_impl(const snapshot::Plan* plan) {
-  DMSIM_ASSERT(!ran_, "Simulator::run may only be called once");
-  ran_ = true;
-
   SimulationResult result;
-  result.provisioned_memory = cluster_->total_capacity();
-  result.system_cost_usd = metrics::CostModel{}.system_cost(*cluster_);
-  result.valid = (infeasible_ == 0);
-  if (!result.valid) {
-    result.records = scheduler_->records();
-    return result;
-  }
-  if (plan != nullptr && plan->active()) {
-    snapshot::run_with_checkpoints(components(), *plan, &ck_stats_);
-    scheduler_->finalize();
-  } else {
-    scheduler_->run();
-  }
-  result.summary = metrics::summarize(scheduler_->records(), scheduler_->totals());
-  result.totals = scheduler_->totals();
-  result.records = scheduler_->records();
-  result.samples = scheduler_->samples();
-  result.avg_allocated_mib = scheduler_->avg_allocated_mib();
-  result.avg_busy_nodes = scheduler_->avg_busy_nodes();
-  result.engine_events = engine_->executed_events();
-  if (observer_.counters != nullptr) {
-    result.counters = observer_.counters->snapshot();
-  }
+  static_cast<harness::CellResult&>(result) = cell_.run(plan);
+  result.records = cell_.scheduler().records();
+  result.samples = cell_.scheduler().samples();
   return result;
 }
 

@@ -1,26 +1,21 @@
 // dmsim public facade.
 //
-// Simulator bundles the engine, cluster, policy and scheduler behind a
-// two-call API:
+// Simulator is a two-call API over harness::Cell, the one wired simulation
+// stack (engine, cluster, policy, observer, scheduler) that the sweeps and
+// the serve daemon also run on:
 //
 //   dmsim::Simulator sim(config, workload, &apps);
 //   dmsim::SimulationResult result = sim.run();
 //
 // For parameter sweeps across many configurations prefer the stateless
-// harness (harness/scenario.hpp), which this class shares its internals
-// with.
+// harness (harness/scenario.hpp).
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 
-#include "cluster/cluster.hpp"
 #include "harness/scenario.hpp"
-#include "metrics/metrics.hpp"
-#include "obs/observer.hpp"
-#include "policy/policy.hpp"
-#include "sched/scheduler.hpp"
-#include "sim/engine.hpp"
 #include "slowdown/model.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "trace/job_spec.hpp"
@@ -33,19 +28,11 @@ struct SimulationConfig {
   sched::SchedulerConfig sched;
 };
 
-struct SimulationResult {
-  bool valid = false;  ///< false: workload contains jobs this system can never run
-  metrics::WorkloadSummary summary;
-  sched::SchedulerTotals totals;
+/// A cell result plus the per-job records and system samples. `telemetry`
+/// holds the name-sorted registry dump (empty when none was wired).
+struct SimulationResult : harness::CellResult {
   std::vector<sched::JobRecord> records;
   std::vector<sched::SystemSample> samples;
-  double avg_allocated_mib = 0.0;
-  double avg_busy_nodes = 0.0;
-  MiB provisioned_memory = 0;
-  double system_cost_usd = 0.0;
-  std::uint64_t engine_events = 0;  ///< discrete events executed by the run
-  /// Name-sorted dump of the counters registry (empty when none was wired).
-  obs::CountersSnapshot counters;
 };
 
 class Simulator {
@@ -59,13 +46,11 @@ class Simulator {
             const slowdown::AppPool* apps, obs::TraceSink* sink = nullptr,
             obs::Counters* counters = nullptr);
 
-  /// Run to completion. May only be called once.
-  [[nodiscard]] SimulationResult run();
-
   /// Run to completion, saving checkpoints per `plan` (explicit cut times
-  /// and/or a periodic interval). Results are byte-identical to a plain
-  /// run(): checkpoint saves are side-effect-free observations.
-  [[nodiscard]] SimulationResult run(const snapshot::Plan& plan);
+  /// and/or a periodic interval) when it is active. Results are
+  /// byte-identical to a plain run(): checkpoint saves are side-effect-free
+  /// observations. May only be called once.
+  [[nodiscard]] SimulationResult run(const snapshot::Plan& plan = {});
 
   /// Resume a simulation from a snapshot file. `config`/`workload` must be
   /// identical to the run that saved the snapshot (enforced via the
@@ -87,40 +72,30 @@ class Simulator {
       const slowdown::AppPool* apps, obs::TraceSink* sink = nullptr,
       obs::Counters* counters = nullptr);
 
-  /// Checkpoint activity of run(plan)/restore_from. Deliberately not part
-  /// of SimulationResult: restored runs checkpoint differently than the
-  /// uninterrupted runs they must match byte for byte.
+  /// Checkpoint activity of run(plan)/restore_from. Kept out of the JSON
+  /// document: restored runs checkpoint differently than the uninterrupted
+  /// runs they must match byte for byte.
   [[nodiscard]] const snapshot::Stats& checkpoint_stats() const noexcept {
-    return ck_stats_;
+    return cell_.checkpoint_stats();
   }
 
   [[nodiscard]] const cluster::Cluster& cluster() const noexcept {
-    return *cluster_;
+    return cell_.cluster();
   }
   /// Mutable ledger access for harness-level toggles (debug parity sweeps);
   /// production callers mutate the cluster only through the scheduler.
-  [[nodiscard]] cluster::Cluster& cluster() noexcept { return *cluster_; }
+  [[nodiscard]] cluster::Cluster& cluster() noexcept { return cell_.cluster(); }
   [[nodiscard]] const sched::Scheduler& scheduler() const noexcept {
-    return *scheduler_;
+    return cell_.scheduler();
   }
 
  private:
-  Simulator(const SimulationConfig& config, trace::Workload workload,
+  Simulator(const harness::CellConfig& cell, trace::Workload workload,
             const slowdown::AppPool* apps, obs::TraceSink* sink,
-            obs::Counters* counters, bool defer_sink);
+            obs::Counters* counters,
+            const std::optional<std::string>& snapshot_path);
 
-  [[nodiscard]] SimulationResult run_impl(const snapshot::Plan* plan);
-  [[nodiscard]] snapshot::Components components() noexcept;
-
-  SimulationConfig config_;
-  std::unique_ptr<sim::Engine> engine_;
-  std::unique_ptr<cluster::Cluster> cluster_;
-  std::unique_ptr<policy::AllocationPolicy> policy_;
-  obs::Observer observer_;  ///< stable address; components keep a pointer
-  std::unique_ptr<sched::Scheduler> scheduler_;
-  snapshot::Stats ck_stats_;
-  std::size_t infeasible_ = 0;
-  bool ran_ = false;
+  harness::Cell cell_;
 };
 
 }  // namespace dmsim

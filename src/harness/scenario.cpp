@@ -1,12 +1,12 @@
 #include "harness/scenario.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <memory>
 
 #include "harness/sweep.hpp"
-#include "sim/engine.hpp"
 #include "util/error.hpp"
 
 namespace dmsim::harness {
@@ -76,116 +76,129 @@ std::vector<SystemConfig> memory_ladder(int total_nodes) {
   return out;
 }
 
-CellResult run_cell(const CellConfig& cell, const trace::Workload& jobs,
-                    const slowdown::AppPool& apps, obs::TraceSink* sink,
-                    obs::Counters* counters) {
-  const CheckpointSpec* ck =
-      cell.checkpoint.has_value() ? &*cell.checkpoint : nullptr;
-  const bool forking = cell.restore_image != nullptr;
-  const bool resuming_file = !forking && ck != nullptr && ck->resume &&
-                             std::filesystem::exists(ck->path);
-  const bool resuming = resuming_file || forking;
-  const WhatIfOverlay* overlay =
-      cell.overlay.has_value() ? &*cell.overlay : nullptr;
-  // Overlay swaps take effect for the whole (remaining) run; the cell's
-  // base policy/sched stay what a restored image's fingerprint is checked
-  // against.
-  const policy::PolicyKind effective_policy =
-      overlay != nullptr && overlay->policy.has_value() ? *overlay->policy
-                                                        : cell.policy;
-  const sched::SchedulerConfig& effective_sched =
-      overlay != nullptr && overlay->sched.has_value() ? *overlay->sched
-                                                       : cell.sched;
+namespace {
 
-  cluster::Cluster cluster(cell.system.to_cluster_config());
-  const auto policy = policy::make_policy(effective_policy);
-  sim::Engine engine;
-  // A cell-private registry when telemetry was requested without one: each
-  // sweep cell then aggregates independently, so sweeps stay thread-safe.
-  obs::Counters local_counters;
-  if (cell.collect_telemetry && counters == nullptr) {
-    counters = &local_counters;
-  }
-  // When resuming, defer the sink: workload submission replays schedule
-  // events whose trace records the original run already emitted.
-  obs::Observer observer{resuming ? nullptr : sink, counters, &engine};
-  const obs::Observer* obs_ptr =
-      (sink != nullptr || counters != nullptr) ? &observer : nullptr;
-  if (obs_ptr != nullptr) {
-    engine.set_observer(obs_ptr);
-    cluster.set_observer(obs_ptr);
-    policy->set_observer(obs_ptr);
-  }
-  sched::Scheduler scheduler(engine, cluster, *policy, &apps, effective_sched,
-                             obs_ptr);
-  scheduler.submit_workload(jobs);
+// Overlay swaps take effect for the whole (remaining) run; the cell's base
+// policy/sched stay what a restored image's fingerprint is checked against.
+[[nodiscard]] policy::PolicyKind effective_policy(const CellConfig& cell) {
+  return cell.overlay && cell.overlay->policy ? *cell.overlay->policy
+                                             : cell.policy;
+}
+[[nodiscard]] const sched::SchedulerConfig& effective_sched(
+    const CellConfig& cell) {
+  return cell.overlay && cell.overlay->sched ? *cell.overlay->sched
+                                             : cell.sched;
+}
 
-  CellResult result;
-  result.infeasible_jobs = scheduler.infeasible_count();
-  result.valid = (result.infeasible_jobs == 0);
-  result.provisioned_memory = cluster.total_capacity();
-  result.system_cost_usd = metrics::CostModel{}.system_cost(cluster);
-  if (!result.valid) {
-    // The paper leaves the bar out entirely: the system cannot run the mix.
-    if (cell.collect_telemetry && counters != nullptr) {
-      result.telemetry = counters->snapshot();
-    }
-    return result;
+}  // namespace
+
+Cell::Cell(const CellConfig& cell, trace::Workload workload,
+           const slowdown::AppPool* apps, obs::TraceSink* sink,
+           obs::Counters* counters,
+           const std::optional<std::string>& snapshot_path)
+    : cluster_(cell.system.to_cluster_config()),
+      policy_(policy::make_policy(effective_policy(cell))),
+      counters_(counters == nullptr && cell.collect_telemetry
+                    ? &local_counters_
+                    : counters),
+      observer_{nullptr, counters_, &engine_},
+      collect_telemetry_(cell.collect_telemetry) {
+  const bool restoring =
+      cell.restore_image != nullptr || snapshot_path.has_value();
+  if (!restoring) observer_.sink = sink;
+  // A deferred sink still wires the observer through every layer (they keep
+  // its address); it just traces nothing until the restore is done.
+  const bool wired = sink != nullptr || counters_ != nullptr;
+  if (wired) {
+    engine_.set_observer(&observer_);
+    cluster_.set_observer(&observer_);
+    policy_->set_observer(&observer_);
   }
-  const snapshot::Components components{&engine, &cluster, &scheduler,
-                                        counters};
-  if (forking) {
-    // Fork from the shared warm image: no file read, no envelope re-parse,
-    // and the fingerprint check is one 64-bit compare when the caller
-    // precomputed it. The fingerprint always covers the BASE configuration
-    // (cell.sched, the un-edited cluster, the base workload); overlay
-    // deltas apply below, after the restore.
+  scheduler_.emplace(engine_, cluster_, *policy_, apps, effective_sched(cell),
+                     wired ? &observer_ : nullptr);
+  scheduler_->submit_workload(std::move(workload));
+  // The paper leaves the bar out entirely when the system cannot run the
+  // mix: run() reports an infeasible cell invalid without simulating it.
+  const bool feasible = scheduler_->infeasible_count() == 0;
+
+  if (restoring) {
+    const auto start = std::chrono::steady_clock::now();
+    const std::shared_ptr<const snapshot::Image> image =
+        cell.restore_image != nullptr ? cell.restore_image
+                                      : snapshot::Image::open(*snapshot_path);
+    // The fingerprint always covers the BASE configuration: cell.sched (not
+    // an overlay's swapped sched), the un-edited cluster and the base
+    // workload. Overlay deltas apply below, after the restore. A caller that
+    // forks one image many times precomputes it and pays one 64-bit compare.
     const std::uint64_t base_fp =
         cell.trusted_fingerprint.has_value()
             ? *cell.trusted_fingerprint
-            : snapshot::config_fingerprint(cluster, cell.sched, jobs);
-    cell.restore_image->materialize_trusted(components, base_fp);
-    ++result.checkpoint.restores;
-    result.checkpoint.bytes_read += cell.restore_image->size_bytes();
-  } else if (resuming_file) {
-    snapshot::restore_file(ck->path, components, &result.checkpoint);
-  }
-  if (resuming && sink != nullptr) {
-    observer.sink = sink;
-    engine.set_observer(&observer);  // the engine caches the sink pointer
-  }
-  if (overlay != nullptr) {
-    if (!overlay->extra_nodes.empty()) cluster.add_nodes(overlay->extra_nodes);
-    if (!overlay->extra_jobs.empty()) {
-      scheduler.submit_extra_jobs(overlay->extra_jobs);
+            : snapshot::config_fingerprint(cluster_, cell.sched,
+                                           scheduler_->workload());
+    if (!feasible) {
+      // Never run, so never restored; a foreign snapshot is still refused.
+      image->check_fingerprint(base_fp);
+      return;
     }
-    result.provisioned_memory = cluster.total_capacity();
-    result.system_cost_usd = metrics::CostModel{}.system_cost(cluster);
-    result.infeasible_jobs = scheduler.infeasible_count();
-    result.valid = (result.infeasible_jobs == 0);
-    if (!result.valid) {
-      if (cell.collect_telemetry && counters != nullptr) {
-        result.telemetry = counters->snapshot();
-      }
-      return result;
+    image->materialize_trusted(components(), base_fp);
+    ++checkpoint_.restores;
+    checkpoint_.bytes_read += image->size_bytes();
+    checkpoint_.restore_seconds +=
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    if (sink != nullptr) {
+      observer_.sink = sink;
+      engine_.set_observer(&observer_);  // the engine caches the sink pointer
     }
   }
-  if (ck != nullptr && (ck->every > 0.0 || !ck->cuts.empty())) {
-    snapshot::Plan plan{ck->path, ck->every, ck->cuts};
-    snapshot::run_with_checkpoints(components, plan, &result.checkpoint);
-    scheduler.finalize();
-  } else {
-    scheduler.run();
+  if (feasible && cell.overlay) {
+    if (!cell.overlay->extra_nodes.empty()) {
+      cluster_.add_nodes(cell.overlay->extra_nodes);
+    }
+    if (!cell.overlay->extra_jobs.empty()) {
+      scheduler_->submit_extra_jobs(cell.overlay->extra_jobs);
+    }
   }
-  result.summary = metrics::summarize(scheduler.records(), scheduler.totals());
-  result.totals = scheduler.totals();
-  result.avg_allocated_mib = scheduler.avg_allocated_mib();
-  result.avg_busy_nodes = scheduler.avg_busy_nodes();
-  result.engine_events = engine.executed_events();
-  if (cell.collect_telemetry && counters != nullptr) {
-    result.telemetry = counters->snapshot();
+}
+
+CellResult Cell::run(const snapshot::Plan& plan) {
+  DMSIM_ASSERT(!ran_, "Cell::run may only be called once");
+  ran_ = true;
+  CellResult result;
+  result.infeasible_jobs = scheduler_->infeasible_count();
+  result.valid = (result.infeasible_jobs == 0);
+  result.provisioned_memory = cluster_.total_capacity();
+  result.system_cost_usd = metrics::CostModel{}.system_cost(cluster_);
+  if (result.valid) {
+    if (plan.active()) {
+      snapshot::run_with_checkpoints(components(), plan, &checkpoint_);
+      scheduler_->finalize();
+    } else {
+      scheduler_->run();
+    }
+    result.summary =
+        metrics::summarize(scheduler_->records(), scheduler_->totals());
+    result.totals = scheduler_->totals();
+    result.avg_allocated_mib = scheduler_->avg_allocated_mib();
+    result.avg_busy_nodes = scheduler_->avg_busy_nodes();
+    result.engine_events = engine_.executed_events();
   }
+  result.checkpoint = checkpoint_;
+  if (collect_telemetry_) result.telemetry = counters_->snapshot();
   return result;
+}
+
+CellResult run_cell(const CellConfig& cell, const trace::Workload& jobs,
+                    const slowdown::AppPool& apps, obs::TraceSink* sink,
+                    obs::Counters* counters) {
+  std::optional<std::string> resume_path;
+  snapshot::Plan plan;
+  if (cell.checkpoint) {
+    const CheckpointSpec& ck = *cell.checkpoint;
+    if (ck.resume && std::filesystem::exists(ck.path)) resume_path = ck.path;
+    plan = snapshot::Plan{ck.path, ck.every, ck.cuts};
+  }
+  return Cell(cell, jobs, &apps, sink, counters, resume_path).run(plan);
 }
 
 std::vector<CellResult> run_cells(const std::vector<CellConfig>& cells,

@@ -14,6 +14,7 @@
 #include "obs/observer.hpp"
 #include "policy/policy.hpp"
 #include "sched/scheduler.hpp"
+#include "sim/engine.hpp"
 #include "snapshot/checkpoint.hpp"
 #include "snapshot/image.hpp"
 #include "workload/generator.hpp"
@@ -112,7 +113,7 @@ struct CellConfig {
   std::shared_ptr<const snapshot::Image> restore_image;
   /// Precomputed base-configuration fingerprint for the restore (see
   /// snapshot::config_fingerprint(cluster, sched, workload)). When unset,
-  /// run_cell computes it from the cell's base config — correct but it
+  /// the Cell computes it from the cell's base config — correct but it
   /// re-hashes the full workload per fork; a serve loop sets it once.
   std::optional<std::uint64_t> trusted_fingerprint;
   /// What-if deltas, applied after the restore (or right after submission
@@ -144,6 +145,65 @@ struct CellResult {
   [[nodiscard]] double throughput_per_dollar() const noexcept {
     return system_cost_usd > 0.0 ? summary.throughput / system_cost_usd : 0.0;
   }
+};
+
+/// One wired simulation stack: the only place the engine, cluster, policy,
+/// observer and scheduler are built and wired together. run_cell, the
+/// Simulator facade and the restore benches all build on it.
+///
+/// Neither copyable nor movable: the engine, cluster and policy keep the
+/// observer's address, and the scheduler keeps references to all three.
+class Cell {
+ public:
+  /// Builds the stack for `cell` and submits `workload` (moved in). Then it
+  /// restores from `cell.restore_image`, or else from the snapshot file at
+  /// `snapshot_path`, and applies `cell.overlay`. Throws SnapshotError when
+  /// the snapshot cannot be read or was taken under another configuration.
+  /// A cell with infeasible jobs never runs, so it only has the snapshot's
+  /// fingerprint checked. While restoring, the trace sink is deferred:
+  /// submission replays schedule events whose trace records the saving run
+  /// already emitted. `apps` may be nullptr; `apps`, `sink` and `counters`
+  /// are caller-owned and must outlive the Cell.
+  Cell(const CellConfig& cell, trace::Workload workload,
+       const slowdown::AppPool* apps, obs::TraceSink* sink = nullptr,
+       obs::Counters* counters = nullptr,
+       const std::optional<std::string>& snapshot_path = std::nullopt);
+  Cell(const Cell&) = delete;
+  Cell& operator=(const Cell&) = delete;
+
+  /// Run to completion, saving checkpoints per `plan` when it is active.
+  /// May only be called once.
+  [[nodiscard]] CellResult run(const snapshot::Plan& plan = {});
+
+  [[nodiscard]] snapshot::Components components() noexcept {
+    return {&engine_, &cluster_, &*scheduler_, counters_};
+  }
+  [[nodiscard]] sched::Scheduler& scheduler() noexcept { return *scheduler_; }
+  [[nodiscard]] const sched::Scheduler& scheduler() const noexcept {
+    return *scheduler_;
+  }
+  [[nodiscard]] cluster::Cluster& cluster() noexcept { return cluster_; }
+  [[nodiscard]] const cluster::Cluster& cluster() const noexcept {
+    return cluster_;
+  }
+  /// Restore and save activity so far (also copied into run()'s result).
+  [[nodiscard]] const snapshot::Stats& checkpoint_stats() const noexcept {
+    return checkpoint_;
+  }
+
+ private:
+  cluster::Cluster cluster_;
+  std::unique_ptr<policy::AllocationPolicy> policy_;
+  sim::Engine engine_;
+  /// Used when telemetry is requested without a caller registry, so sweep
+  /// cells aggregate independently and stay thread-safe.
+  obs::Counters local_counters_;
+  obs::Counters* counters_;
+  obs::Observer observer_;
+  std::optional<sched::Scheduler> scheduler_;
+  snapshot::Stats checkpoint_;
+  bool collect_telemetry_;
+  bool ran_ = false;
 };
 
 /// Run one cell. The workload (and its app pool) are shared, read-only.

@@ -295,8 +295,8 @@ std::string to_json(const SimulationResult& result, bool include_records,
 
   w.key("engine_events").value(result.engine_events);
 
-  if (!result.counters.empty()) {
-    write_telemetry(w, result.counters);
+  if (!result.telemetry.empty()) {
+    write_telemetry(w, result.telemetry);
   }
 
   if (include_records) {

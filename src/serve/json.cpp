@@ -8,6 +8,11 @@ namespace dmsim::serve {
 
 namespace {
 
+// Deepest container nesting a query may use. The deepest real query is
+// {"jobs":[{...}]}; the cap keeps a hostile line of '[' from overflowing
+// the recursive descent's stack.
+constexpr int kMaxDepth = 64;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -64,9 +69,15 @@ class Parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        ++depth_;
+        JsonValue v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         JsonValue v;
         v.kind = JsonValue::Kind::String;
@@ -219,6 +230,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 [[noreturn]] void wrong_type(std::string_view key) {
@@ -248,6 +260,11 @@ std::int64_t JsonValue::int_or(std::string_view key,
   const JsonValue* v = find(key);
   if (v == nullptr) return fallback;
   if (v->kind != Kind::Number) wrong_type(key);
+  // The cast is only defined inside [-2^63, 2^63); NaN fails both compares.
+  if (!(v->number >= -0x1p63 && v->number < 0x1p63)) {
+    throw ServeError("json: field '" + std::string(key) +
+                     "' is out of the 64-bit integer range");
+  }
   return static_cast<std::int64_t>(v->number);
 }
 
@@ -268,40 +285,6 @@ std::string JsonValue::str_or(std::string_view key,
 
 JsonValue json_parse(std::string_view text) {
   return Parser(text).parse_document();
-}
-
-std::string json_escape(std::string_view raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-          out += kHex[static_cast<unsigned char>(c) & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace dmsim::serve

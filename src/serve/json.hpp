@@ -6,7 +6,7 @@
 // parsed query can be re-serialized or diffed deterministically. It is a
 // deliberately small recursive-descent parser — the serve protocol's
 // payloads are one line each, never documents — and throws ServeError with
-// a byte offset on malformed input.
+// a byte offset on malformed input or nesting deeper than 64 levels.
 //
 // Reply *writing* goes through metrics::JsonWriter; this header is the read
 // side only.
@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "metrics/json_export.hpp"
 #include "util/error.hpp"
 
 namespace dmsim::serve {
@@ -46,7 +47,8 @@ struct JsonValue {
   [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept;
 
   /// Typed member accessors. The *_or forms default when the key is absent;
-  /// all of them throw ServeError when the key holds the wrong type.
+  /// all of them throw ServeError when the key holds the wrong type, and
+  /// int_or also when the number lies outside the int64 range.
   [[nodiscard]] double num_or(std::string_view key, double fallback) const;
   [[nodiscard]] std::int64_t int_or(std::string_view key,
                                     std::int64_t fallback) const;
@@ -59,7 +61,7 @@ struct JsonValue {
 /// Throws ServeError with the byte offset of the first problem.
 [[nodiscard]] JsonValue json_parse(std::string_view text);
 
-/// Escape a string for embedding in a JSON document (quotes not included).
-[[nodiscard]] std::string json_escape(std::string_view raw);
+/// Replies escape strings with the writer side's escaper.
+using metrics::json_escape;
 
 }  // namespace dmsim::serve

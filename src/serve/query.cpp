@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "harness/config_file.hpp"
 #include "serve/json.hpp"
@@ -40,6 +41,18 @@ namespace {
   throw ServeError("query: unknown op '" + name + "'");
 }
 
+/// int_or narrowed to T, refusing values T cannot hold instead of letting the
+/// cast wrap them (4294967297 nodes must not become 1).
+template <typename T>
+[[nodiscard]] T int_in(const JsonValue& obj, std::string_view key,
+                       T fallback) {
+  const std::int64_t v = obj.int_or(key, fallback);
+  if (!std::in_range<T>(v)) {
+    throw ServeError("query: \"" + std::string(key) + "\" is out of range");
+  }
+  return static_cast<T>(v);
+}
+
 [[nodiscard]] trace::JobSpec parse_job(const JsonValue& obj) {
   if (!obj.is_object()) throw ServeError("query: jobs[] entries are objects");
   const std::int64_t id = obj.int_or("id", -1);
@@ -49,7 +62,7 @@ namespace {
   trace::JobSpec spec;
   spec.id = JobId{static_cast<std::uint32_t>(id)};
   spec.submit_time = obj.num_or("submit_time", 0.0);
-  spec.num_nodes = static_cast<int>(obj.int_or("num_nodes", 1));
+  spec.num_nodes = int_in<int>(obj, "num_nodes", 1);
   spec.requested_mem = static_cast<MiB>(obj.int_or("mem_mib", 0));
   spec.duration = obj.num_or("duration", 0.0);
   spec.walltime = obj.num_or("walltime", 2.0 * spec.duration);
@@ -76,9 +89,8 @@ namespace {
   sched::SchedulerConfig sc = base;
   sc.sched_interval = obj.num_or("sched_interval", sc.sched_interval);
   sc.update_interval = obj.num_or("update_interval", sc.update_interval);
-  sc.queue_depth = static_cast<int>(obj.int_or("queue_depth", sc.queue_depth));
-  sc.backfill_depth =
-      static_cast<int>(obj.int_or("backfill_depth", sc.backfill_depth));
+  sc.queue_depth = int_in<int>(obj, "queue_depth", sc.queue_depth);
+  sc.backfill_depth = int_in<int>(obj, "backfill_depth", sc.backfill_depth);
   sc.enable_backfill = obj.bool_or("backfill", sc.enable_backfill);
   if (sc.sched_interval <= 0.0 || sc.update_interval <= 0.0 ||
       sc.queue_depth < 1 || sc.backfill_depth < 0) {
@@ -138,10 +150,10 @@ Query parse_query(std::string_view line,
       }
       cluster::NodeConfig node;
       node.capacity = static_cast<MiB>(doc.int_or("capacity_mib", 0));
-      node.cores = static_cast<int>(doc.int_or("cores", node.cores));
+      node.cores = int_in<int>(doc, "cores", node.cores);
       node.large = doc.bool_or("large", true);
-      node.tier = static_cast<std::uint8_t>(doc.int_or("tier", 0));
-      node.rack = static_cast<std::uint16_t>(doc.int_or("rack", 0));
+      node.tier = int_in<std::uint8_t>(doc, "tier", 0);
+      node.rack = int_in<std::uint16_t>(doc, "rack", 0);
       if (node.capacity <= 0) {
         throw ServeError("query: topology needs \"capacity_mib\" > 0");
       }

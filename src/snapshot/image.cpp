@@ -144,23 +144,22 @@ void Image::restore_components(const Components& components) const {
   }
 }
 
-void Image::materialize(const Components& components) const {
-  const std::uint64_t expected = config_fingerprint(components);
-  if (fingerprint_ != expected) {
-    throw SnapshotError(
-        "snapshot: configuration fingerprint mismatch — the snapshot was "
-        "taken under a different cluster/scheduler/workload configuration");
-  }
-  restore_components(components);
-}
-
-void Image::materialize_trusted(const Components& components,
-                                std::uint64_t expected_fingerprint) const {
+void Image::check_fingerprint(std::uint64_t expected_fingerprint) const {
   if (fingerprint_ != expected_fingerprint) {
     throw SnapshotError(
         "snapshot: configuration fingerprint mismatch — the snapshot was "
         "taken under a different cluster/scheduler/workload configuration");
   }
+}
+
+void Image::materialize(const Components& components) const {
+  check_fingerprint(config_fingerprint(components));
+  restore_components(components);
+}
+
+void Image::materialize_trusted(const Components& components,
+                                std::uint64_t expected_fingerprint) const {
+  check_fingerprint(expected_fingerprint);
   restore_components(components);
 }
 

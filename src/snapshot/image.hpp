@@ -88,6 +88,10 @@ class Image {
   void materialize_trusted(const Components& components,
                            std::uint64_t expected_fingerprint) const;
 
+  /// The fingerprint compare alone: throws SnapshotError unless the image
+  /// was taken under the configuration `expected_fingerprint` describes.
+  void check_fingerprint(std::uint64_t expected_fingerprint) const;
+
  private:
   Image() = default;
   void parse_envelope();

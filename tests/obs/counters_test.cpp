@@ -113,9 +113,9 @@ TEST(Counters, MatchSchedulerTotalsAfterSimulation) {
             counters.counter("engine.scheduled"));
 
   // The snapshot travels on the result document too.
-  EXPECT_FALSE(r.counters.empty());
+  EXPECT_FALSE(r.telemetry.empty());
   bool found = false;
-  for (const auto& c : r.counters.counters) {
+  for (const auto& c : r.telemetry.counters) {
     if (c.name == "sched.completed") {
       found = true;
       EXPECT_EQ(c.value, t.completed);
@@ -163,7 +163,7 @@ TEST(Counters, AbsentWhenNotWired) {
   cfg.policy = policy::PolicyKind::Baseline;
   Simulator sim(cfg, oom_prone_workload(), nullptr);
   const SimulationResult r = sim.run();
-  EXPECT_TRUE(r.counters.empty());
+  EXPECT_TRUE(r.telemetry.empty());
   EXPECT_GT(r.engine_events, 0u);
 }
 

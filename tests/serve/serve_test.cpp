@@ -160,6 +160,44 @@ TEST(ServeQuery, PolicyTopologyAndSchedSwap) {
   EXPECT_THROW((void)serve::parse_query("not json", base), serve::ServeError);
 }
 
+// "num_nodes":4294967297 used to wrap to 1 in the cast to int, so the query
+// was silently answered as a one-node job. Every narrowing field now refuses
+// values its type cannot hold.
+TEST(ServeQuery, NumNodesBeyondIntIsRejectedNotWrapped) {
+  const sched::SchedulerConfig base;
+  EXPECT_THROW(
+      (void)serve::parse_query(
+          R"({"op":"submit","jobs":[{"id":1,"num_nodes":4294967297,)"
+          R"("mem_mib":1024,"duration":60}]})",
+          base),
+      serve::ServeError);
+  for (const char* sched : {R"({"queue_depth":2147483648})",
+                            R"({"backfill_depth":-2147483649})"}) {
+    EXPECT_THROW((void)serve::parse_query(
+                     std::string(R"({"op":"baseline","sched":)") + sched + "}",
+                     base),
+                 serve::ServeError)
+        << sched;
+  }
+  for (const char* field :
+       {R"("cores":4294967328)", R"("tier":256)", R"("rack":65536)"}) {
+    EXPECT_THROW(
+        (void)serve::parse_query(
+            std::string(R"({"op":"topology","add_nodes":1,"capacity_mib":1,)") +
+                field + "}",
+            base),
+        serve::ServeError)
+        << field;
+  }
+  // The largest values each type holds still parse.
+  const serve::Query topo = serve::parse_query(
+      R"({"op":"topology","add_nodes":1,"capacity_mib":1,"tier":255,)"
+      R"("rack":65535})",
+      base);
+  EXPECT_EQ(topo.extra_nodes.front().tier, 255);
+  EXPECT_EQ(topo.extra_nodes.front().rack, 65535);
+}
+
 // -------------------------------------------------------- scenario plumbing
 
 struct ServeFixture {
@@ -324,6 +362,55 @@ TEST(ServeServer, RunOnceDrainsUntilShutdown) {
   ASSERT_EQ(replies.size(), 3U);
   EXPECT_NE(replies[1].find("\"status\":\"error\""), std::string::npos);
   EXPECT_NE(replies[2].find("\"stopping\":true"), std::string::npos);
+  std::remove(f.snap_path.c_str());
+}
+
+// One line of 200,000 '[' used to recurse once per byte until the stack
+// overflowed (exit 139 from dmsim_serve --once). Nesting is now capped, so
+// the line is an ordinary parse error and the next query is still answered.
+TEST(ServeServer, DeepNestingIsAnErrorReplyNotACrash) {
+  const std::string deep(200'000, '[');
+  EXPECT_THROW((void)serve::json_parse(deep), serve::ServeError);
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW((void)serve::json_parse(nested(64)));
+  EXPECT_THROW((void)serve::json_parse(nested(65)), serve::ServeError);
+
+  const ServeFixture f = ServeFixture::make("serve_deep.snap");
+  serve::Server server(f.scenario(), serve::ServerOptions{});
+  std::istringstream in(deep + "\n{\"op\":\"info\"}\n");
+  std::ostringstream out;
+  EXPECT_EQ(server.run_once(in, out), 2U);
+  std::istringstream lines(out.str());
+  std::string refused;
+  std::string answered;
+  ASSERT_TRUE(std::getline(lines, refused));
+  ASSERT_TRUE(std::getline(lines, answered));
+  EXPECT_NE(refused.find("\"status\":\"error\""), std::string::npos);
+  EXPECT_NE(refused.find("nesting deeper than 64 at offset 64"),
+            std::string::npos);
+  EXPECT_NE(answered.find("\"status\":\"ok\""), std::string::npos);
+  std::remove(f.snap_path.c_str());
+}
+
+// "mem_mib":9223372036854775807 parses to 2^63, whose cast to int64 is
+// undefined; it used to abort the daemon on an assert in UsageTrace. It is
+// now an error reply, while 2^62 still fits and stays an infeasible job.
+TEST(ServeServer, MemMibBeyondInt64IsAnErrorReplyNotAnAbort) {
+  const ServeFixture f = ServeFixture::make("serve_mem_range.snap");
+  serve::Server server(f.scenario(), serve::ServerOptions{});
+  const std::string huge = server.handle_line(
+      R"({"op":"submit","jobs":[{"id":99999,"num_nodes":1,"duration":10,)"
+      R"("mem_mib":9223372036854775807}]})");
+  EXPECT_NE(huge.find("\"status\":\"error\""), std::string::npos);
+  EXPECT_NE(huge.find("'mem_mib' is out of the 64-bit integer range"),
+            std::string::npos);
+  const std::string oversize = server.handle_line(
+      R"({"op":"submit","jobs":[{"id":99999,"num_nodes":1,"duration":10,)"
+      R"("mem_mib":4611686018427387904}]})");
+  EXPECT_NE(oversize.find("\"status\":\"ok\""), std::string::npos);
+  EXPECT_NE(oversize.find("\"valid\":false"), std::string::npos);
   std::remove(f.snap_path.c_str());
 }
 
