@@ -656,6 +656,41 @@ void BM_MonitorUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_MonitorUpdate)->Arg(0)->Arg(1);
 
+// One Monitor resize in isolation: a grow_local + shrink_local pair on a busy
+// host of an N-node Cell's ledger (the sc mix of normal and large nodes).
+// Three of every five nodes run a one-node job at a varied local fill, so
+// the lender index holds ~N distinct keys, and nothing is lent — the state
+// of a Dynamic week at its utilization floor. The pair's cost is the
+// ledger's own upkeep per resize; the hosts rotate so no cache stays warm
+// on one node.
+void BM_LocalResize(benchmark::State& state) {
+  harness::CellConfig cell;
+  cell.system.total_nodes = static_cast<int>(state.range(0));
+  cell.system.pct_large_nodes =
+      static_cast<double>(kScLarge) / (kScNormal + kScLarge);
+  cell.policy = policy::PolicyKind::Dynamic;
+  harness::Cell rig(cell, trace::Workload{}, nullptr);
+  cluster::Cluster& c = rig.cluster();
+  std::vector<std::pair<JobId, NodeId>> busy;
+  for (std::uint32_t i = 0; i < c.node_count(); ++i) {
+    if (i % 5 >= 3) continue;
+    const JobId job{i + 1};
+    const NodeId host{i};
+    c.assign_job(job, std::vector<NodeId>{host});
+    (void)c.grow_local(job, host, (static_cast<MiB>(i % 48) + 4) * kGiB);
+    busy.emplace_back(job, host);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto [job, host] = busy[next];
+    next = next + 1 == busy.size() ? 0 : next + 1;
+    benchmark::DoNotOptimize(c.grow_local(job, host, kGiB));
+    benchmark::DoNotOptimize(c.shrink_local(job, host, kGiB));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LocalResize)->Arg(kScNormal + kScLarge)->Arg(100000);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -225,46 +225,69 @@ std::span<const NodeId> Cluster::nodes_by_capacity_at_least(
 // Index maintenance
 // ---------------------------------------------------------------------------
 
+void Cluster::rekey(FreeIndex& index, bool had, bool has, FreeKey old_key,
+                    FreeKey new_key) {
+  if (had && has) {
+    if (old_key == new_key) return;
+    auto node = index.extract(old_key);
+    node.value() = new_key;
+    index.insert(std::move(node));
+  } else if (had) {
+    index.erase(old_key);
+  } else if (has) {
+    index.insert(new_key);
+  }
+}
+
 void Cluster::reindex_node(std::uint32_t i) {
-  // The old index key is the free_ column entry (what the node was last
-  // indexed under); the new one is re-derived from the occupancy columns.
+  // The old host-index key is the free_ column entry (what the node was
+  // last indexed under); the new one is re-derived from the occupancy
+  // columns.
   const MiB old_free = free_[i];
   const std::uint8_t old_bits = index_bits_[i];
   const MiB free = capacity_[i] - local_used_[i] - lent_[i];
   const bool mem = lent_[i] * 2 > capacity_[i];
   const bool host = running_job_[i] == kIdle && !mem;
-  const bool lendable = free > 0;
-  const bool mem_free = mem && lendable;
-  const FreeKey old_key{old_free, i};
-  const FreeKey new_key{free, i};
-  const bool moved = old_free != free;
-  if ((old_bits & kInHost) && (!host || moved)) host_index_.erase(old_key);
-  if (host && (!(old_bits & kInHost) || moved)) host_index_.insert(new_key);
-  if ((old_bits & kInFree) && (!lendable || moved)) free_index_.erase(old_key);
-  if (lendable && (!(old_bits & kInFree) || moved)) free_index_.insert(new_key);
-  if ((old_bits & kInMemFree) && (!mem_free || moved)) {
-    mem_free_index_.erase(old_key);
-  }
-  if (mem_free && (!(old_bits & kInMemFree) || moved)) {
-    mem_free_index_.insert(new_key);
-  }
-  if (tiered()) {
-    // The per-tier variants share the membership bits (tier is immutable),
-    // so the same erase/insert conditions apply to the node's tier indexes.
-    const std::uint8_t t = tier_[i];
-    FreeIndex& tf = tier_free_index_[t];
-    FreeIndex& tmf = tier_mem_free_index_[t];
-    if ((old_bits & kInFree) && (!lendable || moved)) tf.erase(old_key);
-    if (lendable && (!(old_bits & kInFree) || moved)) tf.insert(new_key);
-    if ((old_bits & kInMemFree) && (!mem_free || moved)) tmf.erase(old_key);
-    if (mem_free && (!(old_bits & kInMemFree) || moved)) tmf.insert(new_key);
-    tier_free_mib_[t] += free - old_free;
-  }
+  rekey(host_index_, (old_bits & kInHost) != 0, host, FreeKey{old_free, i},
+        FreeKey{free, i});
+  if (tiered()) tier_free_mib_[tier_[i]] += free - old_free;
   free_[i] = free;
   mem_node_[i] = mem ? 1 : 0;
-  index_bits_[i] = static_cast<std::uint8_t>((host ? kInHost : 0) |
-                                             (lendable ? kInFree : 0) |
-                                             (mem_free ? kInMemFree : 0));
+  std::uint8_t bits = static_cast<std::uint8_t>((old_bits & ~kInHost) |
+                                                (host ? kInHost : 0));
+  // The lender indexes only learn that the node moved; the re-key waits for
+  // the next lender pick (sync_lender_indexes).
+  if ((bits & kStale) == 0 &&
+      (lend_key_[i] != free || (bits & kLenderBits) != lender_bits(free, mem))) {
+    bits |= kStale;
+    stale_lenders_.push_back(i);
+  }
+  index_bits_[i] = bits;
+}
+
+void Cluster::sync_lender_indexes() {
+  for (const std::uint32_t i : stale_lenders_) {
+    const std::uint8_t held = index_bits_[i];
+    const std::uint8_t want = lender_bits(free_[i], mem_node_[i] != 0);
+    const FreeKey old_key{lend_key_[i], i};
+    const FreeKey new_key{free_[i], i};
+    const bool had_free = (held & kInFree) != 0;
+    const bool has_free = (want & kInFree) != 0;
+    const bool had_mem = (held & kInMemFree) != 0;
+    const bool has_mem = (want & kInMemFree) != 0;
+    rekey(free_index_, had_free, has_free, old_key, new_key);
+    rekey(mem_free_index_, had_mem, has_mem, old_key, new_key);
+    if (tiered()) {
+      // The per-tier variants share the membership bits and key (tier is
+      // immutable), so the node's tier indexes move the same way.
+      const std::uint8_t t = tier_[i];
+      rekey(tier_free_index_[t], had_free, has_free, old_key, new_key);
+      rekey(tier_mem_free_index_[t], had_mem, has_mem, old_key, new_key);
+    }
+    lend_key_[i] = free_[i];
+    index_bits_[i] = static_cast<std::uint8_t>((held & kInHost) | want);
+  }
+  stale_lenders_.clear();
 }
 
 void Cluster::rebuild_indexes_bulk() {
@@ -272,6 +295,9 @@ void Cluster::rebuild_indexes_bulk() {
   free_.resize(n);
   mem_node_.resize(n);
   index_bits_.resize(n);
+  lend_key_.resize(n);
+  stale_lenders_.clear();
+  stale_lenders_.reserve(n);
   // One linear pass derives every column and gathers each index's keys into
   // a flat vector; sorting those and range-constructing the sets builds each
   // tree with O(size) comparisons (sorted-range guarantee) instead of n
@@ -285,16 +311,14 @@ void Cluster::rebuild_indexes_bulk() {
     const MiB free = capacity_[i] - local_used_[i] - lent_[i];
     const bool mem = lent_[i] * 2 > capacity_[i];
     const bool host = running_job_[i] == kIdle && !mem;
-    const bool lendable = free > 0;
-    const bool mem_free = mem && lendable;
+    const std::uint8_t lender = lender_bits(free, mem);
     free_[i] = free;
+    lend_key_[i] = free;
     mem_node_[i] = mem ? 1 : 0;
-    index_bits_[i] = static_cast<std::uint8_t>((host ? kInHost : 0) |
-                                               (lendable ? kInFree : 0) |
-                                               (mem_free ? kInMemFree : 0));
+    index_bits_[i] = static_cast<std::uint8_t>((host ? kInHost : 0) | lender);
     if (host) host_keys.emplace_back(free, i);
-    if (lendable) free_keys.emplace_back(free, i);
-    if (mem_free) mem_keys.emplace_back(free, i);
+    if (lender & kInFree) free_keys.emplace_back(free, i);
+    if (lender & kInMemFree) mem_keys.emplace_back(free, i);
   }
   std::sort(host_keys.begin(), host_keys.end());
   std::sort(free_keys.begin(), free_keys.end());
@@ -566,13 +590,17 @@ MiB Cluster::grow_remote(JobId job, NodeId host, MiB amount) {
   MiB remaining = amount;
   int lenders_touched = 0;
   std::int64_t edges_added = 0;
-  // Lenders are picked one at a time straight from the indexes. Each pick is
-  // either drained to free() == 0 — leaving every index before the next
-  // lookup — or the grow is satisfied and the loop ends, so the sequence of
-  // picks is identical to ranking all lenders by their state at the start of
-  // the grow (the historical snapshot semantics), including memory-node
-  // status flips: a flipped node has free() == 0 and is out of both indexes.
+  // Lenders are picked one at a time straight from the lender indexes, which
+  // are synced first: every node mutated since the last pick (Monitor
+  // resizes, placements, returns — and the previous pick) is re-keyed to its
+  // current state. Each pick is either drained to free() == 0 — so the sync
+  // before the next lookup takes it out of every index — or the grow is
+  // satisfied and the loop ends, so the sequence of picks is identical to
+  // ranking all lenders by their state at the start of the grow (the
+  // historical snapshot semantics), including memory-node status flips: a
+  // flipped node has free() == 0 and is out of both indexes.
   while (remaining > 0) {
+    sync_lender_indexes();
     const NodeId lender = next_lender(host);
     if (!lender.valid()) break;
     const std::uint32_t l = lender.get();
@@ -872,10 +900,13 @@ void Cluster::check_invariants() const {
                "reverse slab live count out of sync");
 
   // One cache-linear pass over the columns: occupancy sums, bounds, and the
-  // derived free/memory-node/membership columns.
+  // derived free/memory-node/membership columns. The host bit is exact for
+  // every node; the lender bits are "as indexed", so they and lend_key_ must
+  // equal the state-derived values for every node that is not stale.
   std::size_t host_entries = 0;
   std::size_t free_entries = 0;
   std::size_t mem_free_entries = 0;
+  std::size_t stale_entries = 0;
   std::size_t busy_nodes = 0;
   MiB lent_total = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -890,40 +921,64 @@ void Cluster::check_invariants() const {
     const MiB free = capacity_[i] - local_used_[i] - lent_[i];
     const bool mem = lent_[i] * 2 > capacity_[i];
     const bool host = running_job_[i] == kIdle && !mem;
-    const bool lendable = free > 0;
-    const bool mem_free = mem && lendable;
     DMSIM_ASSERT(free_[i] == free, "free column out of date");
     DMSIM_ASSERT((mem_node_[i] != 0) == mem, "memory-node column out of date");
-    const std::uint8_t bits = static_cast<std::uint8_t>(
-        (host ? kInHost : 0) | (lendable ? kInFree : 0) |
-        (mem_free ? kInMemFree : 0));
-    DMSIM_ASSERT(index_bits_[i] == bits,
-                 "index membership bits disagree with node state");
+    const std::uint8_t bits = index_bits_[i];
+    DMSIM_ASSERT((bits & ~(kInHost | kLenderBits | kStale)) == 0,
+                 "unknown index membership bits");
+    DMSIM_ASSERT(((bits & kInHost) != 0) == host,
+                 "host-index bit disagrees with node state");
+    const std::uint8_t held = bits & kLenderBits;
+    if ((bits & kStale) != 0) {
+      ++stale_entries;
+      // Its held lender bits are still what its last sync derived from
+      // lend_key_ (that sync's memory-node flag is not kept, so it is read
+      // off the held bits).
+      DMSIM_ASSERT(held == lender_bits(lend_key_[i], held == kLenderBits),
+                   "stale node's held lender bits are not a sync result");
+    } else {
+      DMSIM_ASSERT(lend_key_[i] == free, "lender key of a synced node out of date");
+      DMSIM_ASSERT(held == lender_bits(free, mem),
+                   "lender bits of a synced node disagree with node state");
+    }
     host_entries += host ? 1 : 0;
-    free_entries += lendable ? 1 : 0;
-    mem_free_entries += mem_free ? 1 : 0;
+    free_entries += (held & kInFree) != 0 ? 1 : 0;
+    mem_free_entries += (held & kInMemFree) != 0 ? 1 : 0;
     lent_total += lent_[i];
   }
+  // The stale list and the stale bits match one to one: every listed node
+  // carries the bit and is listed once, and as many nodes carry it.
+  {
+    std::vector<std::uint8_t> listed(n, 0);
+    for (const std::uint32_t i : stale_lenders_) {
+      DMSIM_ASSERT(i < n && (index_bits_[i] & kStale) != 0 && listed[i] == 0,
+                   "stale-lender list disagrees with the stale bits");
+      listed[i] = 1;
+    }
+    DMSIM_ASSERT(stale_lenders_.size() == stale_entries,
+                 "stale-lender list misses a stale node");
+  }
   // Each ordered index: every entry it holds must be a node whose membership
-  // bit is set, keyed by that node's current free value; together with the
+  // bit is set, keyed by the value that index holds it under (free_ for the
+  // host index, lend_key_ for the lender indexes); together with the
   // per-node bit counts matching the set sizes, this proves membership is
   // exact (no per-node tree probes needed).
   const auto check_index = [&](const FreeIndex& index, std::uint8_t bit,
-                               std::size_t expected,
-                               const char* what) {
+                               const std::vector<MiB>& keys,
+                               std::size_t expected, const char* what) {
     DMSIM_ASSERT(index.size() == expected, what);
     for (const FreeKey& k : index) {
       DMSIM_ASSERT(k.second < n && (index_bits_[k.second] & bit) != 0 &&
-                       free_[k.second] == k.first,
+                       keys[k.second] == k.first,
                    what);
     }
   };
-  check_index(host_index_, kInHost, host_entries,
+  check_index(host_index_, kInHost, free_, host_entries,
               "host index disagrees with node state");
-  check_index(free_index_, kInFree, free_entries,
-              "free index disagrees with node state");
-  check_index(mem_free_index_, kInMemFree, mem_free_entries,
-              "memory-node free index disagrees with node state");
+  check_index(free_index_, kInFree, lend_key_, free_entries,
+              "free index disagrees with held memberships");
+  check_index(mem_free_index_, kInMemFree, lend_key_, mem_free_entries,
+              "memory-node free index disagrees with held memberships");
   // Each slot points its host back at itself (checked above), so equal
   // counts make slots and busy nodes a bijection.
   DMSIM_ASSERT(busy_nodes == live_slots, "busy node without an allocation slot");
@@ -951,19 +1006,19 @@ void Cluster::check_invariants() const {
       DMSIM_ASSERT(tier_lent_mib_[t] == tier_lent[t],
                    "per-tier lent total out of sync");
       DMSIM_ASSERT(tier_free_index_[t].size() == tier_free_entries[t],
-                   "per-tier free index disagrees with node state");
+                   "per-tier free index disagrees with held memberships");
       DMSIM_ASSERT(tier_mem_free_index_[t].size() == tier_mem_entries[t],
-                   "per-tier mem-free index disagrees with node state");
+                   "per-tier mem-free index disagrees with held memberships");
       for (const FreeKey& k : tier_free_index_[t]) {
         DMSIM_ASSERT(k.second < n && tier_[k.second] == t &&
                          (index_bits_[k.second] & kInFree) != 0 &&
-                         free_[k.second] == k.first,
+                         lend_key_[k.second] == k.first,
                      "per-tier free index entry invalid");
       }
       for (const FreeKey& k : tier_mem_free_index_[t]) {
         DMSIM_ASSERT(k.second < n && tier_[k.second] == t &&
                          (index_bits_[k.second] & kInMemFree) != 0 &&
-                         free_[k.second] == k.first,
+                         lend_key_[k.second] == k.first,
                      "per-tier mem-free index entry invalid");
       }
     }

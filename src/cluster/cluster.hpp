@@ -35,14 +35,23 @@
 // Actuator's batched resize, the contention model's per-job walks) hashes
 // the job id once; a (job, host) call hashes nothing.
 //
-// Scalability: every mutation maintains three ordered free-memory indexes
-// (hostable nodes, lendable nodes, lendable memory nodes) plus a reverse
-// lender -> borrow-edge slab (a CSR-style flat edge pool with per-lender
-// rows), so host selection, lender ordering, `idle_hostable_nodes()` and
-// `borrowers_of()` never rescan all nodes or all slots. The indexes are
-// keyed (free asc, id asc); descending-free orders are produced by walking
-// equal-free buckets back to front, which reproduces the exact
-// (free desc, id asc) order of the former sort-based comparators.
+// Scalability: three ordered free-memory indexes (hostable nodes, lendable
+// nodes, lendable memory nodes) plus a reverse lender -> borrow-edge slab
+// (a CSR-style flat edge pool with per-lender rows) mean host selection,
+// lender ordering, `idle_hostable_nodes()` and `borrowers_of()` never rescan
+// all nodes or all slots. The indexes are keyed (free asc, id asc);
+// descending-free orders are produced by walking equal-free buckets back to
+// front, which reproduces the exact (free desc, id asc) order of the former
+// sort-based comparators.
+//
+// The host index is maintained eagerly by every mutation (it is read on
+// every placement attempt, and busy hosts are not in it). The lender indexes
+// are lazy: a mutation only marks the node stale, and grow_remote re-keys
+// the stale nodes just before each lender pick, its only read. A Monitor
+// resize of a busy host — the bulk of all ledger traffic under the Dynamic
+// policy — therefore costs no tree work unless something is lent before the
+// node changes again. A sync yields exactly the sets the eager upkeep held,
+// so lender choice is unchanged.
 #pragma once
 
 #include <compare>
@@ -488,13 +497,24 @@ class Cluster {
   using FreeKey = std::pair<MiB, std::uint32_t>;
   using FreeIndex = std::set<FreeKey>;
 
-  /// Index-membership bits a node held when last reindexed; reindex_node()
-  /// diffs against them so each mutation erases/inserts only what moved.
-  /// The key it was indexed under is the free_ column entry (reindex_node
-  /// updates both together).
+  /// Index-membership bits a node holds. kInHost is exact at all times;
+  /// its key is the free_ column entry (reindex_node updates both). The
+  /// lender bits mean "as indexed": the membership the node had at its last
+  /// sync, under the key in lend_key_. kStale marks a node on stale_lenders_
+  /// whose lender memberships may lag its current state.
   static constexpr std::uint8_t kInHost = 1;      ///< host_index_: idle, not a memory node
   static constexpr std::uint8_t kInFree = 2;      ///< free_index_: free() > 0
   static constexpr std::uint8_t kInMemFree = 4;   ///< mem_free_index_: memory node, free() > 0
+  static constexpr std::uint8_t kStale = 8;       ///< lender bits/key await a sync
+  static constexpr std::uint8_t kLenderBits = kInFree | kInMemFree;
+
+  /// The lender-index memberships of a node with this free value and
+  /// memory-node flag.
+  [[nodiscard]] static constexpr std::uint8_t lender_bits(MiB free,
+                                                          bool mem) noexcept {
+    if (free <= 0) return 0;
+    return mem ? kInFree | kInMemFree : kInFree;
+  }
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
 
@@ -614,15 +634,26 @@ class Cluster {
   /// aggregate/tier totals and its index memberships.
   void return_to_lender(std::uint32_t lender, MiB amount);
 
-  /// Re-derive node `i`'s free value, memory-node flag and index
-  /// memberships after a mutation of its local_used_/lent_/running_job_
-  /// columns.
+  /// Move one node's entry in `index` from `old_key` to `new_key` given its
+  /// membership before (`had`) and after (`has`). A key change of a member
+  /// reuses its tree node instead of freeing one and allocating another.
+  static void rekey(FreeIndex& index, bool had, bool has, FreeKey old_key,
+                    FreeKey new_key);
+  /// Re-derive node `i`'s free value, memory-node flag, per-tier free total
+  /// and host-index membership after a mutation of its local_used_/lent_/
+  /// running_job_ columns. The lender indexes are not touched: if the
+  /// node's lender key or memberships moved, it is only marked stale.
   void reindex_node(std::uint32_t i);
-  /// Rebuild free_, mem_node_, membership bits and all three ordered
-  /// indexes from the capacity/local_used/lent/running_job columns in one
-  /// bulk pass: gather keys per index, sort each flat key vector, then
-  /// range-construct the sets linearly — instead of n individual O(log n)
-  /// tree inserts.
+  /// Bring the lender indexes (global and per-tier) up to date: re-key each
+  /// stale node from its lend_key_ to its current free_ value and
+  /// memberships, then empty the stale list. Called before every lender
+  /// pick.
+  void sync_lender_indexes();
+  /// Rebuild free_, mem_node_, lend_key_, membership bits and all three
+  /// ordered indexes from the capacity/local_used/lent/running_job columns
+  /// in one bulk pass: gather keys per index, sort each flat key vector,
+  /// then range-construct the sets linearly — instead of n individual
+  /// O(log n) tree inserts. Leaves no node stale.
   void rebuild_indexes_bulk();
   void mark_lender_dirty(NodeId id);
   void mark_job_dirty(JobId job) { dirty_jobs_.push_back(job); }
@@ -631,7 +662,8 @@ class Cluster {
   void mark_slot_dirty(const AllocationSlot& slot);
 
   /// Best current lender (free memory, excluding `exclude`) under the
-  /// configured LenderPolicy, straight from the indexes; invalid id when no
+  /// configured LenderPolicy, straight from the lender indexes, which the
+  /// caller must have synced (sync_lender_indexes); invalid id when no
   /// lender remains. grow_remote drains each pick completely before asking
   /// again, so repeated calls walk the same sequence a full materialized
   /// ordering would — in O(log nodes) per pick instead of O(nodes) total.
@@ -659,7 +691,8 @@ class Cluster {
   // Per-tier index variants, maintained ONLY when tiered() (the single-tier
   // topology must not pay for them — and degenerates to the global indexes
   // anyway). Membership mirrors free_index_/mem_free_index_ restricted to
-  // each tier's nodes, under the same kInFree/kInMemFree bits.
+  // each tier's nodes, under the same kInFree/kInMemFree bits and lend_key_,
+  // and is synced together with them.
   std::vector<FreeIndex> tier_free_index_;
   std::vector<FreeIndex> tier_mem_free_index_;
   std::vector<MiB> tier_free_mib_;  ///< sum of free() per tier
@@ -677,7 +710,13 @@ class Cluster {
   // Derived columns, maintained by reindex_node():
   std::vector<MiB> free_;               ///< capacity - local_used - lent
   std::vector<std::uint8_t> mem_node_;  ///< 1 iff lent*2 > capacity
-  std::vector<std::uint8_t> index_bits_;  ///< kInHost|kInFree|kInMemFree
+  std::vector<std::uint8_t> index_bits_;  ///< kInHost|kInFree|kInMemFree|kStale
+  /// The free value each node is keyed under in the lender indexes (its
+  /// free_ at the last sync); differs from free_ only while stale.
+  std::vector<MiB> lend_key_;
+  /// Nodes with kStale set, each once, in marking order; bounded by the
+  /// node count and emptied by sync_lender_indexes().
+  std::vector<std::uint32_t> stale_lenders_;
 
   // Job-major allocation slab: one entry per assigned job, indexed by a
   // dense handle; finished jobs' handles recycle through a free list.
@@ -690,7 +729,8 @@ class Cluster {
   MiB total_allocated_ = 0;
   MiB total_lent_ = 0;
 
-  // Incremental indexes (see file comment).
+  // Incremental indexes (see file comment): the host index is eager, the
+  // two lender indexes (and their per-tier variants) lazy.
   FreeIndex host_index_;
   FreeIndex free_index_;
   FreeIndex mem_free_index_;

@@ -108,6 +108,19 @@ const SweepCellResult& SweepRunner::result(std::size_t handle) const {
   return results_[handle];
 }
 
+std::vector<SweepCellResult> SweepRunner::take_results() {
+  DMSIM_ASSERT(executed_ == cells_.size(), "cells are pending");
+  std::vector<SweepCellResult> out = std::move(results_);
+  clear();
+  return out;
+}
+
+void SweepRunner::clear() noexcept {
+  cells_.clear();
+  results_.clear();
+  executed_ = 0;
+}
+
 std::string cell_result_to_json(const CellResult& result) {
   metrics::JsonWriter w;
   w.begin_object();

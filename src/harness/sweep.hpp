@@ -57,6 +57,17 @@ class SweepRunner {
     return results_;
   }
 
+  /// Move every executed result out (submission order) and drop every cell,
+  /// releasing the configs and whatever they own — a restore image's last
+  /// reference, say. Handles restart at 0; the throughput report keeps
+  /// accumulating. A long-lived runner (the serve dispatcher) calls this
+  /// after each round so it retains nothing between rounds. No cell may be
+  /// pending.
+  [[nodiscard]] std::vector<SweepCellResult> take_results();
+
+  /// Drop every cell and result, executed or not (handles restart at 0).
+  void clear() noexcept;
+
   [[nodiscard]] std::size_t size() const noexcept { return cells_.size(); }
   [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
 

@@ -1,5 +1,6 @@
 #include "serve/query.hpp"
 
+#include <cmath>
 #include <limits>
 #include <string>
 #include <utility>
@@ -53,6 +54,25 @@ template <typename T>
   return static_cast<T>(v);
 }
 
+/// Largest submit time, duration or walltime, in seconds (about 31.7
+/// years), a submitted job may carry. A fork simulates the job's whole run,
+/// one Monitor update after another, so the reply time grows with the
+/// job's span: 1e9 s answers in about half a second on the example config,
+/// 1e11 s takes minutes, and 1e308 never answers.
+constexpr double kMaxJobSeconds = 1.0e9;
+
+/// num_or for a job time, refusing non-finite values and values beyond
+/// kMaxJobSeconds.
+[[nodiscard]] double job_seconds(const JsonValue& obj, std::string_view key,
+                                 double fallback) {
+  const double v = obj.num_or(key, fallback);
+  if (!std::isfinite(v) || v > kMaxJobSeconds) {
+    throw ServeError("query: job \"" + std::string(key) +
+                     "\" must be finite and at most 1e9 seconds");
+  }
+  return v;
+}
+
 [[nodiscard]] trace::JobSpec parse_job(const JsonValue& obj) {
   if (!obj.is_object()) throw ServeError("query: jobs[] entries are objects");
   const std::int64_t id = obj.int_or("id", -1);
@@ -61,11 +81,15 @@ template <typename T>
   }
   trace::JobSpec spec;
   spec.id = JobId{static_cast<std::uint32_t>(id)};
-  spec.submit_time = obj.num_or("submit_time", 0.0);
+  spec.submit_time = job_seconds(obj, "submit_time", 0.0);
   spec.num_nodes = int_in<int>(obj, "num_nodes", 1);
   spec.requested_mem = static_cast<MiB>(obj.int_or("mem_mib", 0));
-  spec.duration = obj.num_or("duration", 0.0);
-  spec.walltime = obj.num_or("walltime", 2.0 * spec.duration);
+  spec.duration = job_seconds(obj, "duration", 0.0);
+  // The default walltime derives from a bounded duration, so only an
+  // explicit one needs the bound.
+  spec.walltime = obj.find("walltime") != nullptr
+                      ? job_seconds(obj, "walltime", 0.0)
+                      : 2.0 * spec.duration;
   const MiB used =
       static_cast<MiB>(obj.int_or("used_mib", spec.requested_mem));
   spec.usage = trace::UsageTrace::constant(used);

@@ -4,6 +4,8 @@
 //   {"op":"baseline"}                           run the warm image unmodified
 //   {"op":"submit","jobs":[{"id":9001,"num_nodes":2,"mem_mib":4096,
 //                           "duration":600}]}   inject extra jobs
+//                                               (submit_time, duration and
+//                                               walltime at most 1e9 s)
 //   {"op":"policy","policies":["baseline","static","dynamic"]}
 //                                               race policy variants
 //   {"op":"topology","add_nodes":4,"capacity_mib":65536}

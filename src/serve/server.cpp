@@ -167,22 +167,25 @@ void Server::dispatcher_loop() {
         admissions_.pop_front();
       }
     }
-    std::vector<std::size_t> handles;
-    handles.reserve(batch.size());
+    // The runner is empty between rounds, so the batch's handles are its
+    // positions. Taking the results drops the cells too, so no fork's config
+    // — nor the restore image it shares — outlives its reply.
+    std::vector<harness::SweepCellResult> results;
     try {
       for (Admission& adm : batch) {
-        handles.push_back(
-            runner_.add(std::move(adm.cell), scenario_.jobs, *scenario_.apps));
+        (void)runner_.add(std::move(adm.cell), scenario_.jobs, *scenario_.apps);
       }
       runner_.run_all();
+      results = runner_.take_results();
     } catch (...) {
+      runner_.clear();
       for (Admission& adm : batch) {
         adm.reply.set_exception(std::current_exception());
       }
       continue;
     }
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      batch[i].reply.set_value(runner_.result(handles[i]).cell);
+      batch[i].reply.set_value(std::move(results[i].cell));
     }
   }
 }

@@ -1,11 +1,14 @@
 // Detailed ledger behaviours: shrink ordering, borrow merging, aggregate
-// counters under interleaved multi-job traffic, and slab handle recycling.
+// counters under interleaved multi-job traffic, slab handle recycling, and
+// lazy lender-index upkeep against a bulk rebuild.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
 
 namespace dmsim::cluster {
@@ -184,6 +187,121 @@ TEST(LedgerDetail, RecycledHandlesKeepInvariantsAndBorrowerOrder) {
   c.check_invariants();
   EXPECT_EQ(c.total_allocated(), 0);
   EXPECT_EQ(c.idle_hostable_nodes(), static_cast<int>(c.node_count()));
+}
+
+std::string saved_bytes(const Cluster& c) {
+  snapshot::Writer w;
+  c.save_state(w);
+  return w.take();
+}
+
+TEST(LedgerDetail, LazyLenderIndexesMatchBulkRebuild) {
+  // The live cluster's lender indexes catch up lazily, at each lender pick.
+  // After every random operation a twin restores the live ledger's bytes,
+  // which bulk-rebuilds its indexes from the columns. A copy of the live
+  // cluster (stale nodes and all) and the twin then run the same
+  // grow_remote: they must pick the same lenders, leaving identical bytes.
+  // The probe grows on a copy so staleness keeps accumulating in `live`
+  // across many operations; live's own grow_remote ops sync it in between.
+  for (const bool tiered : {false, true}) {
+    for (const LenderPolicy policy :
+         {LenderPolicy::MostFree, LenderPolicy::MemoryNodesFirst,
+          LenderPolicy::LeastFree}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (tiered ? "3-tier" : "flat") << " policy "
+                   << static_cast<int>(policy));
+      ClusterConfig cfg = make_cluster_config(9, 64 * kGiB, 3, 128 * kGiB);
+      cfg.lender_policy = policy;
+      if (tiered) {
+        cfg.tiers = {MemoryTier{"local", 150.0, 90.0, TierScope::Local},
+                     MemoryTier{"rack", 450.0, 64.0, TierScope::Rack},
+                     MemoryTier{"far", 1200.0, 40.0, TierScope::CrossRack}};
+        for (std::size_t i = 0; i < cfg.nodes.size(); ++i) {
+          cfg.nodes[i].tier = static_cast<std::uint8_t>(i % 3);
+        }
+      }
+      Cluster live(cfg);
+      live.set_debug_parity(true);
+      util::Rng rng(tiered ? 4711 : 1742);
+      std::vector<JobId> jobs;
+      std::uint32_t next_id = 1;
+      const auto pick = [&rng](std::size_t size) {
+        return static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+      };
+      const auto gib = [&rng](std::int64_t hi) {
+        return rng.uniform_int(1, hi) * kGiB;
+      };
+      for (int step = 0; step < 500; ++step) {
+        const std::int64_t op =
+            jobs.empty() ? 0 : rng.uniform_int(jobs.size() < 4 ? 0 : 1, 7);
+        if (op == 0) {
+          std::vector<NodeId> hosts;
+          for (std::uint32_t i = 0; i < live.node_count(); ++i) {
+            if (live.can_host(NodeId{i}) && rng.bernoulli(0.3)) {
+              hosts.push_back(NodeId{i});
+            }
+          }
+          if (hosts.empty()) continue;
+          hosts.resize(std::min<std::size_t>(hosts.size(), 3));
+          const JobId job{next_id++};
+          live.assign_job(job, hosts);
+          for (const NodeId h : hosts) (void)live.grow_local(job, h, gib(64));
+          jobs.push_back(job);
+        } else if (op == 1) {
+          const std::size_t k = pick(jobs.size());
+          live.finish_job(jobs[k]);
+          jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(k));
+        } else {
+          const JobId job = jobs[pick(jobs.size())];
+          const auto hosts = live.hosts_of(job);
+          const NodeId host = hosts[pick(hosts.size())];
+          switch (op) {
+            case 2:
+            case 3:
+              (void)live.grow_local(job, host, gib(64));
+              break;
+            case 4:
+              (void)live.shrink_local(job, host, gib(64));
+              break;
+            case 5:
+              (void)live.grow_remote(job, host, gib(48));
+              break;
+            case 6:
+              (void)live.shrink_remote(job, host, gib(48));
+              break;
+            default: {
+              const auto& remote = live.slot(job, host).remote;
+              if (!remote.empty()) {
+                const NodeId lender = remote[pick(remote.size())].first;
+                (void)live.shrink_remote_edge(job, host, lender, gib(48));
+              }
+              break;
+            }
+          }
+        }
+        live.check_invariants();
+
+        const std::string bytes = saved_bytes(live);
+        Cluster twin(cfg);
+        snapshot::Reader reader(bytes);
+        twin.restore_state(reader);
+        Cluster probe = live;
+        if (!jobs.empty()) {
+          const JobId job = jobs[pick(jobs.size())];
+          const auto hosts = probe.hosts_of(job);
+          const NodeId host = hosts[pick(hosts.size())];
+          const MiB amount = gib(96);
+          EXPECT_EQ(probe.grow_remote(job, host, amount),
+                    twin.grow_remote(job, host, amount))
+              << "step " << step;
+        }
+        ASSERT_EQ(saved_bytes(probe), saved_bytes(twin)) << "step " << step;
+        probe.check_invariants();
+        twin.check_invariants();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "serve/image_cache.hpp"
 #include "serve/json.hpp"
 #include "serve/query.hpp"
+#include "snapshot/image.hpp"
 #include "snapshot/snapshot.hpp"
 #include "workload/generator.hpp"
 
@@ -411,6 +412,103 @@ TEST(ServeServer, MemMibBeyondInt64IsAnErrorReplyNotAnAbort) {
       R"("mem_mib":4611686018427387904}]})");
   EXPECT_NE(oversize.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(oversize.find("\"valid\":false"), std::string::npos);
+  std::remove(f.snap_path.c_str());
+}
+
+// "duration":1e308 used to be accepted, and the fork then simulated the job
+// Monitor update by Monitor update: dmsim_serve --once gave no reply within
+// 15 s. Job times beyond 1e9 s (and non-finite ones) are now error replies,
+// and the daemon answers the next query.
+TEST(ServeServer, JobTimesThatWouldStallAreErrorReplies) {
+  const sched::SchedulerConfig base;
+  for (const char* field :
+       {R"("duration":1e308)", R"("duration":1e10,"walltime":2e10)",
+        R"("duration":60,"walltime":1e308)", R"("duration":60,"submit_time":1e308)",
+        R"("duration":1e999)"}) {
+    EXPECT_THROW((void)serve::parse_query(
+                     std::string(R"({"op":"submit","jobs":[{"id":1,)"
+                                 R"("mem_mib":1024,)") +
+                         field + "}]}",
+                     base),
+                 serve::ServeError)
+        << field;
+  }
+  // The bound itself still parses; the default walltime of such a job is
+  // twice it.
+  const serve::Query edge = serve::parse_query(
+      R"({"op":"submit","jobs":[{"id":1,"mem_mib":1024,"duration":1e9,)"
+      R"("submit_time":1e9}]})",
+      base);
+  EXPECT_EQ(edge.extra_jobs.front().walltime, 2e9);
+
+  const ServeFixture f = ServeFixture::make("serve_job_times.snap");
+  serve::Server server(f.scenario(), serve::ServerOptions{});
+  std::istringstream in(
+      "{\"op\":\"submit\",\"jobs\":[{\"id\":999999,\"num_nodes\":1,"
+      "\"mem_mib\":1000,\"duration\":1e308}]}\n"
+      "{\"op\":\"info\"}\n");
+  std::ostringstream out;
+  EXPECT_EQ(server.run_once(in, out), 2U);
+  std::istringstream lines(out.str());
+  std::string refused;
+  std::string answered;
+  ASSERT_TRUE(std::getline(lines, refused));
+  ASSERT_TRUE(std::getline(lines, answered));
+  EXPECT_NE(refused.find("\"status\":\"error\""), std::string::npos);
+  EXPECT_NE(refused.find("must be finite and at most 1e9 seconds"),
+            std::string::npos);
+  EXPECT_NE(answered.find("\"status\":\"ok\""), std::string::npos);
+  std::remove(f.snap_path.c_str());
+}
+
+// The serve dispatcher's long-lived SweepRunner used to keep every cell it
+// ran, and with it each fork's restore-image reference: memory grew with
+// every reply, and an image evicted from the cache was never freed.
+TEST(ServeServer, RoundsRetainNoCellsOrImages) {
+  const ServeFixture f = ServeFixture::make("serve_retain.snap");
+  {
+    // A runner round hands back the results and keeps nothing.
+    std::shared_ptr<const snapshot::Image> image =
+        snapshot::Image::open(f.snap_path);
+    harness::SweepRunner runner(2);
+    for (int i = 0; i < 2; ++i) {
+      harness::CellConfig cell = f.cell;
+      cell.restore_image = image;
+      (void)runner.add(std::move(cell), f.generated.jobs, f.generated.apps);
+    }
+    runner.run_all();
+    EXPECT_EQ(image.use_count(), 3);
+    const std::vector<harness::SweepCellResult> results = runner.take_results();
+    ASSERT_EQ(results.size(), 2U);
+    EXPECT_TRUE(results[0].cell.valid);
+    EXPECT_EQ(runner.size(), 0U);
+    EXPECT_TRUE(runner.results().empty());
+    EXPECT_EQ(image.use_count(), 1);
+    // Handles restart at zero for the next round.
+    harness::CellConfig again = f.cell;
+    again.restore_image = image;
+    EXPECT_EQ(runner.add(std::move(again), f.generated.jobs, f.generated.apps),
+              0U);
+    runner.run_all();
+    EXPECT_EQ(harness::cell_result_to_json(runner.take_results()[0].cell),
+              harness::cell_result_to_json(results[0].cell));
+    EXPECT_EQ(image.use_count(), 1);
+  }
+  // Through the daemon: once a reply is back, only the cache and this test
+  // hold the image.
+  serve::ServerOptions opts;
+  opts.threads = 2;
+  serve::Server server(f.scenario(), opts);
+  const std::shared_ptr<const snapshot::Image> image =
+      server.cache().get(f.snap_path);
+  EXPECT_EQ(image.use_count(), 2);
+  for (const char* query : {R"({"op":"baseline"})",
+                            R"({"op":"policy","policies":["static","dynamic"]})"}) {
+    EXPECT_NE(server.handle_line(query).find("\"status\":\"ok\""),
+              std::string::npos)
+        << query;
+    EXPECT_EQ(image.use_count(), 2) << query;
+  }
   std::remove(f.snap_path.c_str());
 }
 
