@@ -13,6 +13,7 @@
 
 #include "core/dmsim.hpp"
 #include "snapshot/image.hpp"
+#include "workload/exa_grizzly.hpp"
 
 namespace {
 
@@ -368,6 +369,33 @@ void BM_ForkFromImage(benchmark::State& state) {
   std::remove(path.c_str());
 }
 BENCHMARK(BM_ForkFromImage)->Unit(benchmark::kMicrosecond);
+
+// One daily checkpoint's serialization: save_bytes of an N-node
+// exa-Grizzly week under Dynamic, stopped mid-week. The configuration
+// fingerprint is computed once, as run_with_checkpoints does; the write and
+// fsync of save_file are not timed.
+void BM_SnapshotSave(benchmark::State& state) {
+  const int nodes = static_cast<int>(state.range(0));
+  const workload::ExaGrizzlyScale scale = workload::exa_grizzly(nodes);
+  harness::CellConfig cell;
+  cell.system.total_nodes = nodes;
+  cell.system.pct_large_nodes =
+      static_cast<double>(scale.large_nodes) / static_cast<double>(nodes);
+  cell.system.cores_per_node = workload::GrizzlyConfig{}.cores_per_node;
+  cell.policy = policy::PolicyKind::Dynamic;
+  harness::Cell rig(cell, scale.week_jobs, &scale.apps);
+  (void)rig.scheduler().run_ready(3.5 * 86400.0);
+  const snapshot::Components components = rig.components();
+  const std::uint64_t fingerprint = snapshot::config_fingerprint(components);
+  std::uint64_t bytes_total = 0;
+  for (auto _ : state) {
+    const std::string bytes = snapshot::save_bytes(components, fingerprint);
+    bytes_total += bytes.size();
+    benchmark::DoNotOptimize(bytes.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes_total));
+}
+BENCHMARK(BM_SnapshotSave)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 // --- Scheduler hot-path benches at paper scale (1490 nodes) ----------------
 //

@@ -1072,14 +1072,13 @@ void Cluster::save_state(snapshot::Writer& writer) const {
     writer.f64(t.bandwidth_gbs);
     writer.u8(static_cast<std::uint8_t>(t.scope));
   }
-  for (const std::uint8_t t : tier_) writer.u8(t);
-  for (const std::uint16_t r : rack_) writer.u32(r);
+  writer.column(tier_);
+  for (const std::uint16_t r : rack_) writer.u32(r);  // u16 stored as u32
   // Occupancy columns back to back (all running_job, then all local_used,
-  // then all lent) — the serializer walks each array linearly, and a
-  // restore can bulk-load straight into the columns.
-  for (const std::uint32_t rj : running_job_) writer.u32(rj);
-  for (const MiB lu : local_used_) writer.i64(lu);
-  for (const MiB le : lent_) writer.i64(le);
+  // then all lent): each one block copy out, and one straight back in.
+  writer.column(running_job_);
+  writer.column(local_used_);
+  writer.column(lent_);
 
   // Jobs in id order (handles are an in-memory detail: recycling makes
   // them history-dependent, so they never reach the format); each job's
@@ -1140,11 +1139,11 @@ void Cluster::restore_state(snapshot::Reader& reader,
             "snapshot: tier table mismatch — different memory topology");
       }
     }
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (reader.u8() != tier_[i]) {
-        throw snapshot::SnapshotError(
-            "snapshot: node tier column mismatch — different memory topology");
-      }
+    std::vector<std::uint8_t> tier(n);
+    reader.column(tier);
+    if (tier != tier_) {
+      throw snapshot::SnapshotError(
+          "snapshot: node tier column mismatch — different memory topology");
     }
     for (std::uint32_t i = 0; i < n; ++i) {
       if (reader.u32() != rack_[i]) {
@@ -1166,9 +1165,9 @@ void Cluster::restore_state(snapshot::Reader& reader,
 
   if (format_version >= 3) {
     // Columnar layout: each occupancy column stored contiguously.
-    for (std::uint32_t i = 0; i < n; ++i) running_job_[i] = reader.u32();
-    for (std::uint32_t i = 0; i < n; ++i) local_used_[i] = reader.i64();
-    for (std::uint32_t i = 0; i < n; ++i) lent_[i] = reader.i64();
+    reader.column(running_job_);
+    reader.column(local_used_);
+    reader.column(lent_);
   } else {
     // v2 layout: one interleaved (running_job, local_used, lent) record per
     // node.

@@ -18,11 +18,16 @@
 //   "sched"    — scheduler-config swap object (keys: sched_interval,
 //                update_interval, queue_depth, backfill_depth, backfill).
 //
+// A query line may hold at most kMaxQueryLineBytes (1 MiB) before its
+// newline. A longer line gets one "status":"error" reply, and then the
+// connection (or the --once input) is closed: nothing after it is read.
+//
 // Replies are single JSON lines; for a given query against a given image
 // they are byte-identical at any thread count (simulation results are pure
 // functions of the forked cell, and reply serialization is deterministic).
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -34,6 +39,9 @@
 #include "trace/job_spec.hpp"
 
 namespace dmsim::serve {
+
+/// Longest query line accepted, newline excluded.
+inline constexpr std::size_t kMaxQueryLineBytes = std::size_t{1} << 20;
 
 enum class QueryOp { Info, Baseline, Submit, Policy, Topology, Shutdown };
 

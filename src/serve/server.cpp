@@ -67,6 +67,35 @@ bool send_all(int fd, std::string_view data) {
   return true;
 }
 
+/// The one reply a line over kMaxQueryLineBytes gets before its input is
+/// closed.
+[[nodiscard]] std::string line_too_long_reply() {
+  return error_reply("", "?",
+                     "query: line longer than " +
+                         std::to_string(kMaxQueryLineBytes) + " bytes");
+}
+
+enum class LineRead { Line, TooLong, End };
+
+/// std::getline capped at kMaxQueryLineBytes: reads through the next '\n'
+/// (or to EOF) into `line`, newline dropped. A line over the cap reads as
+/// TooLong once it passes the cap, without buffering the rest of it.
+[[nodiscard]] LineRead read_query_line(std::istream& in, std::string& line) {
+  line.clear();
+  std::streambuf& buf = *in.rdbuf();
+  bool extracted = false;
+  for (;;) {
+    const int c = buf.sbumpc();
+    if (c == std::char_traits<char>::eof()) {
+      return extracted ? LineRead::Line : LineRead::End;
+    }
+    extracted = true;
+    if (c == '\n') return LineRead::Line;
+    if (line.size() == kMaxQueryLineBytes) return LineRead::TooLong;
+    line.push_back(static_cast<char>(c));
+  }
+}
+
 }  // namespace
 
 Server::Server(ServeScenario scenario, ServerOptions options)
@@ -315,7 +344,14 @@ std::string Server::handle_line(const std::string& line) {
 std::size_t Server::run_once(std::istream& in, std::ostream& out) {
   std::size_t handled = 0;
   std::string line;
-  while (!shutdown_requested() && std::getline(in, line)) {
+  while (!shutdown_requested()) {
+    const LineRead read = read_query_line(in, line);
+    if (read == LineRead::End) break;
+    if (read == LineRead::TooLong) {
+      out << line_too_long_reply() << '\n' << std::flush;
+      ++handled;
+      break;
+    }
     if (is_blank(line)) continue;
     out << handle_line(line) << '\n' << std::flush;
     ++handled;
@@ -334,7 +370,11 @@ void Server::request_shutdown() {
 }
 
 void Server::serve_connection(int fd) {
+  // `buffer` holds the bytes after the last complete line; its first
+  // `scanned` bytes are known to hold no newline, so each byte is searched
+  // once however many recv calls a line spans.
   std::string buffer;
+  std::size_t scanned = 0;
   char chunk[4096];
   for (;;) {
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
@@ -342,10 +382,16 @@ void Server::serve_connection(int fd) {
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t start = 0;
     for (;;) {
-      const std::size_t nl = buffer.find('\n', start);
+      const std::size_t nl = buffer.find('\n', scanned);
       if (nl == std::string::npos) break;
+      if (nl - start > kMaxQueryLineBytes) {
+        (void)send_all(fd, line_too_long_reply() + "\n");
+        ::close(fd);
+        return;
+      }
       std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
+      scanned = start;
       if (is_blank(line)) continue;
       const std::string reply = handle_line(line) + "\n";
       if (!send_all(fd, reply)) {
@@ -354,6 +400,12 @@ void Server::serve_connection(int fd) {
       }
     }
     buffer.erase(0, start);
+    scanned = buffer.size();
+    if (buffer.size() > kMaxQueryLineBytes) {
+      // No newline within the cap: refuse the line without buffering more.
+      (void)send_all(fd, line_too_long_reply() + "\n");
+      break;
+    }
   }
   ::close(fd);
 }

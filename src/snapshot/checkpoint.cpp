@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -50,19 +51,6 @@ void check_components(const Components& c) {
   const std::uint64_t fingerprint = config_fingerprint(components);
   if (stats != nullptr) stats->save_seconds += elapsed_since(start);
   return fingerprint;
-}
-
-// Little-endian u32 at `offset` — the section tag each payload section
-// leads with, lifted back out for the section table.
-[[nodiscard]] std::uint32_t tag_at(std::string_view payload,
-                                   std::size_t offset) {
-  std::uint32_t tag = 0;
-  for (int i = 0; i < 4; ++i) {
-    tag |= static_cast<std::uint32_t>(static_cast<unsigned char>(
-               payload[offset + static_cast<std::size_t>(i)]))
-           << (8 * i);
-  }
-  return tag;
 }
 
 }  // namespace
@@ -230,7 +218,7 @@ std::uint64_t config_fingerprint(const cluster::Cluster& cl,
       w.f64(t.bandwidth_gbs);
       w.u8(static_cast<std::uint8_t>(t.scope));
     }
-    for (const std::uint8_t t : cl.tier_column()) w.u8(t);
+    w.column(cl.tier_column());
     for (const std::uint16_t rk : cl.rack_column()) w.u32(rk);
   }
   // Scheduler configuration.
@@ -298,50 +286,68 @@ std::string save_bytes(const Components& components) {
 std::string save_bytes(const Components& components,
                        std::uint64_t fingerprint) {
   check_components(components);
-  Writer payload;
-  // Section boundaries, recorded as each component writes so the envelope
-  // trailer can index the payload without re-parsing it.
-  std::size_t offsets[5];
-  offsets[0] = payload.buffer().size();
-  components.engine->save_state(payload);
-  offsets[1] = payload.buffer().size();
-  components.cluster->save_state(payload);
-  offsets[2] = payload.buffer().size();
-  components.scheduler->save_state(payload);
-  offsets[3] = payload.buffer().size();
-  detail::save_counters_section(payload, components.counters);
-  offsets[4] = payload.buffer().size();
-  payload.section(detail::kEndSection);
-
+  // Header, payload and trailer share one buffer, so the payload is never
+  // copied. The payload-size field is written as zero and patched at the
+  // end; no checksum covers it.
   Writer out;
   for (const char c : detail::kMagic) out.u8(static_cast<std::uint8_t>(c));
   out.u32(kVersion);
   out.u64(fingerprint);
-  out.u64(payload.buffer().size());
-  const std::uint64_t checksum = util::fnv1a(payload.buffer());
-  std::string bytes = out.take();
-  bytes += payload.buffer();
-  Writer tail;
-  tail.u64(checksum);
+  const std::size_t size_field = out.buffer().size();
+  out.u64(0);
+  // Section boundaries, recorded as each component writes so the trailer
+  // can index the payload without re-parsing it: section i spans
+  // [bounds[i], bounds[i + 1]), and the last one ends with the end tag.
+  constexpr std::uint32_t kSectionCount = 5;
+  std::array<std::size_t, kSectionCount + 1> bounds{};
+  bounds[0] = out.buffer().size();
+  components.engine->save_state(out);
+  bounds[1] = out.buffer().size();
+  components.cluster->save_state(out);
+  bounds[2] = out.buffer().size();
+  components.scheduler->save_state(out);
+  bounds[3] = out.buffer().size();
+  detail::save_counters_section(out, components.counters);
+  bounds[4] = out.buffer().size();
+  out.section(detail::kEndSection);
+  bounds[5] = out.buffer().size();
+
+  // One pass over the payload feeds two independent FNV-1a chains, the
+  // whole-payload checksum and the current section's: the same values as
+  // hashing the payload and then each section separately.
+  std::uint64_t payload_checksum = util::kFnv1aBasis;
+  std::array<std::uint64_t, kSectionCount> section_checksums{};
+  std::array<std::uint32_t, kSectionCount> tags{};
+  const char* const data = out.buffer().data();
+  for (std::uint32_t i = 0; i < kSectionCount; ++i) {
+    tags[i] = detail::le<std::uint32_t>::load(data + bounds[i]);
+    std::uint64_t section_checksum = util::kFnv1aBasis;
+    for (std::size_t k = bounds[i]; k < bounds[i + 1]; ++k) {
+      payload_checksum = util::fnv1a_step(payload_checksum, data[k]);
+      section_checksum = util::fnv1a_step(section_checksum, data[k]);
+    }
+    section_checksums[i] = section_checksum;
+  }
+
+  out.u64(payload_checksum);
   // Section table: self-checksummed trailer AFTER the payload checksum (see
   // detail::kTocSection). Readers that predate it stop at the checksum.
-  tail.section(detail::kTocSection);
-  constexpr std::uint32_t kSectionCount = 5;
-  tail.u32(kSectionCount);
-  const std::string_view view = payload.buffer();
+  const std::size_t trailer = out.buffer().size();
+  out.section(detail::kTocSection);
+  out.u32(kSectionCount);
   for (std::uint32_t i = 0; i < kSectionCount; ++i) {
-    const std::size_t begin = offsets[i];
-    const std::size_t end = i + 1 < kSectionCount ? offsets[i + 1]
-                                                  : payload.buffer().size();
-    tail.u32(tag_at(view, begin));
-    tail.u64(begin);
-    tail.u64(end - begin);
-    tail.u64(util::fnv1a(view.substr(begin, end - begin)));
+    out.u32(tags[i]);
+    out.u64(bounds[i] - bounds[0]);
+    out.u64(bounds[i + 1] - bounds[i]);
+    out.u64(section_checksums[i]);
   }
   // Trailer checksum covers the trailer bytes only (the payload checksum
   // field precedes the trailer and already guards the payload).
-  tail.u64(util::fnv1a(std::string_view(tail.buffer()).substr(8)));
-  bytes += tail.buffer();
+  out.u64(util::fnv1a(std::string_view(out.buffer()).substr(trailer)));
+
+  std::string bytes = out.take();
+  detail::le<std::uint64_t>::store(bytes.data() + size_field,
+                                   bounds[kSectionCount] - bounds[0]);
   return bytes;
 }
 

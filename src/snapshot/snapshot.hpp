@@ -10,6 +10,12 @@
 // through text formatting — restore must be *bitwise* exact for the
 // deterministic-replay guarantee, including -0.0 and subnormals.
 //
+// Every multi-byte scalar goes through one codec, detail::le<T>: a single
+// fixed-width copy on a little-endian host, a byte loop elsewhere. Numeric
+// columns (u8 / u32 / i64 per node) move as one block through
+// Writer::column / Reader::column; the bytes are exactly those of the
+// element-wise calls, so the format does not depend on which path wrote it.
+//
 // This layer depends only on util so that sim/cluster/sched can each
 // implement save_state(Writer&)/restore_state(Reader&) without pulling in
 // the checkpoint orchestration (snapshot/checkpoint.hpp) that stitches the
@@ -17,9 +23,13 @@
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 #include "util/error.hpp"
 
@@ -42,22 +52,46 @@ class SnapshotError : public Error {
          (static_cast<std::uint32_t>(static_cast<unsigned char>(d)) << 24);
 }
 
+namespace detail {
+
+/// Little-endian store/load of one unsigned scalar — the single byte-order
+/// codec behind every Writer and Reader scalar and column.
+template <std::unsigned_integral T>
+struct le {
+  static void store(char* out, T v) noexcept {
+    if constexpr (std::endian::native != std::endian::little) {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        out[i] = static_cast<char>((v >> (8 * i)) & 0xffU);
+      }
+    } else {
+      std::memcpy(out, &v, sizeof(T));
+    }
+  }
+
+  [[nodiscard]] static T load(const char* in) noexcept {
+    T v = 0;
+    if constexpr (std::endian::native != std::endian::little) {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        v |= static_cast<T>(static_cast<T>(static_cast<unsigned char>(in[i]))
+                            << (8 * i));
+      }
+    } else {
+      std::memcpy(&v, in, sizeof(T));
+    }
+    return v;
+  }
+};
+
+}  // namespace detail
+
 /// Append-only little-endian byte builder.
 class Writer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
 
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
-    }
-  }
+  void u32(std::uint32_t v) { put(v); }
 
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xffU));
-    }
-  }
+  void u64(std::uint64_t v) { put(v); }
 
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
 
@@ -73,10 +107,34 @@ class Writer {
 
   void section(std::uint32_t tag) { u32(tag); }
 
+  /// A numeric column in one append: the same bytes as one u8 / u32 / i64
+  /// call per element, with no length prefix.
+  void column(std::span<const std::uint8_t> values) { put_column(values); }
+  void column(std::span<const std::uint32_t> values) { put_column(values); }
+  void column(std::span<const std::int64_t> values) { put_column(values); }
+
   [[nodiscard]] const std::string& buffer() const noexcept { return buf_; }
   [[nodiscard]] std::string take() noexcept { return std::move(buf_); }
 
  private:
+  template <std::unsigned_integral T>
+  void put(T v) {
+    char bytes[sizeof(T)];
+    detail::le<T>::store(bytes, v);
+    buf_.append(bytes, sizeof(T));
+  }
+
+  template <typename T>
+  void put_column(std::span<const T> values) {
+    if constexpr (sizeof(T) == 1 ||
+                  std::endian::native == std::endian::little) {
+      buf_.append(reinterpret_cast<const char*>(values.data()),
+                  values.size_bytes());
+    } else {
+      for (const T v : values) put(static_cast<std::make_unsigned_t<T>>(v));
+    }
+  }
+
   std::string buf_;
 };
 
@@ -91,29 +149,9 @@ class Reader {
     return static_cast<std::uint8_t>(bytes_[pos_++]);
   }
 
-  [[nodiscard]] std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
+  [[nodiscard]] std::uint32_t u32() { return get<std::uint32_t>(); }
 
-  [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
+  [[nodiscard]] std::uint64_t u64() { return get<std::uint64_t>(); }
 
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
 
@@ -136,6 +174,12 @@ class Reader {
     return v;
   }
 
+  /// Fill `out` from a column Writer::column wrote: one bounds check, then
+  /// one block copy. On truncation it throws and consumes nothing.
+  void column(std::span<std::uint8_t> out) { get_column(out); }
+  void column(std::span<std::uint32_t> out) { get_column(out); }
+  void column(std::span<std::int64_t> out) { get_column(out); }
+
   /// Consume a section tag and verify it matches; `name` labels the error.
   void expect_section(std::uint32_t tag, const char* name) {
     const std::uint32_t got = u32();
@@ -153,6 +197,30 @@ class Reader {
   }
 
  private:
+  template <std::unsigned_integral T>
+  [[nodiscard]] T get() {
+    need(sizeof(T));
+    const T v = detail::le<T>::load(bytes_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
+
+  template <typename T>
+  void get_column(std::span<T> out) {
+    need(out.size_bytes());
+    const char* in = bytes_.data() + pos_;
+    if constexpr (sizeof(T) == 1 ||
+                  std::endian::native == std::endian::little) {
+      if (!out.empty()) std::memcpy(out.data(), in, out.size_bytes());
+    } else {
+      using U = std::make_unsigned_t<T>;
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        out[i] = static_cast<T>(detail::le<U>::load(in + i * sizeof(T)));
+      }
+    }
+    pos_ += out.size_bytes();
+  }
+
   void need(std::size_t n) const {
     if (bytes_.size() - pos_ < n) {
       throw SnapshotError("snapshot: truncated — need " + std::to_string(n) +

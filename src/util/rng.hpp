@@ -29,13 +29,20 @@ namespace dmsim::util {
   return z ^ (z >> 31);
 }
 
+/// FNV-1a 64-bit offset basis and prime.
+inline constexpr std::uint64_t kFnv1aBasis = 0xCBF29CE484222325ULL;
+inline constexpr std::uint64_t kFnv1aPrime = 0x100000001B3ULL;
+
+/// One FNV-1a step: fold byte `c` into running hash `h`.
+[[nodiscard]] constexpr std::uint64_t fnv1a_step(std::uint64_t h,
+                                                 char c) noexcept {
+  return (h ^ static_cast<std::uint8_t>(c)) * kFnv1aPrime;
+}
+
 /// FNV-1a 64-bit hash of a string, used to fold child names into seeds.
 [[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ULL;
-  }
+  std::uint64_t h = kFnv1aBasis;
+  for (char c : s) h = fnv1a_step(h, c);
   return h;
 }
 

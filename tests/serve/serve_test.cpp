@@ -6,8 +6,13 @@
 // evicts underneath them.
 #include "serve/server.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
@@ -458,6 +463,124 @@ TEST(ServeServer, JobTimesThatWouldStallAreErrorReplies) {
   EXPECT_NE(refused.find("must be finite and at most 1e9 seconds"),
             std::string::npos);
   EXPECT_NE(answered.find("\"status\":\"ok\""), std::string::npos);
+  std::remove(f.snap_path.c_str());
+}
+
+// A loopback connection to a listening server; -1 when it cannot connect.
+// Receives time out after 10 s, so a server that never replies fails the
+// test instead of hanging it.
+[[nodiscard]] int connect_loopback(int port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
+      0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Send all of `data`; false once the peer stops taking it.
+bool send_bytes(int fd, std::string_view data) {
+  while (!data.empty()) {
+    const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    data.remove_prefix(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// Everything up to the first newline (dropped), or up to EOF.
+[[nodiscard]] std::string read_line(int fd) {
+  std::string line;
+  char c = 0;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') line.push_back(c);
+  return line;
+}
+
+// A query line used to be buffered without bound, and every 4 KiB recv
+// re-searched the whole pending partial line for its newline, so an
+// unterminated line cost time quadratic in its length. A line over the cap
+// now gets one error reply and its connection is closed; the daemon keeps
+// answering other connections.
+TEST(ServeServer, OverlongLineIsRefusedAndTheNextConnectionAnswered) {
+  const ServeFixture f = ServeFixture::make("serve_longline.snap");
+  serve::Server server(f.scenario(), serve::ServerOptions{});
+  std::ostringstream log;
+  std::thread listener([&] { server.listen_and_serve(log); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.port() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_NE(server.port(), 0);
+
+  {
+    const int fd = connect_loopback(server.port());
+    ASSERT_GE(fd, 0);
+    // 2 MiB with no newline. Sent from its own thread: once the server
+    // closes the connection, the rest of the sends fail.
+    std::thread sender(
+        [fd] { (void)send_bytes(fd, std::string(std::size_t{2} << 20, 'x')); });
+    const std::string reply = read_line(fd);
+    sender.join();
+    ::close(fd);
+    EXPECT_NE(reply.find("\"status\":\"error\""), std::string::npos) << reply;
+    EXPECT_NE(reply.find("line longer than 1048576 bytes"), std::string::npos)
+        << reply;
+  }
+  {
+    // A line of exactly the cap is still read (blank, so skipped), and the
+    // query after it on the same connection is answered.
+    const int fd = connect_loopback(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(send_bytes(fd, std::string(serve::kMaxQueryLineBytes, ' ') +
+                                   "\n{\"op\":\"info\"}\n"));
+    const std::string reply = read_line(fd);
+    ::close(fd);
+    EXPECT_NE(reply.find("\"status\":\"ok\""), std::string::npos) << reply;
+  }
+  server.request_shutdown();
+  listener.join();
+  std::remove(f.snap_path.c_str());
+}
+
+TEST(ServeServer, RunOnceRefusesAnOverlongLine) {
+  const ServeFixture f = ServeFixture::make("serve_longline_once.snap");
+  serve::Server server(f.scenario(), serve::ServerOptions{});
+  const auto replies_to = [&](const std::string& input) {
+    std::istringstream in(input);
+    std::ostringstream out;
+    const std::size_t answered = server.run_once(in, out);
+    std::istringstream lines(out.str());
+    std::vector<std::string> replies;
+    for (std::string line; std::getline(lines, line);) replies.push_back(line);
+    EXPECT_EQ(replies.size(), answered);
+    return replies;
+  };
+  const std::string info = "{\"op\":\"info\"}\n";
+
+  // Unterminated, and terminated with a query after it: one error reply,
+  // and nothing after the over-long line is read.
+  for (const std::string& input :
+       {std::string(std::size_t{2} << 20, 'x'),
+        std::string(serve::kMaxQueryLineBytes + 1, ' ') + "\n" + info}) {
+    const std::vector<std::string> replies = replies_to(input);
+    ASSERT_EQ(replies.size(), 1U);
+    EXPECT_NE(replies[0].find("line longer than 1048576 bytes"),
+              std::string::npos);
+  }
+  // Exactly the cap is accepted.
+  const std::vector<std::string> replies =
+      replies_to(std::string(serve::kMaxQueryLineBytes, ' ') + "\n" + info);
+  ASSERT_EQ(replies.size(), 1U);
+  EXPECT_NE(replies[0].find("\"status\":\"ok\""), std::string::npos);
   std::remove(f.snap_path.c_str());
 }
 

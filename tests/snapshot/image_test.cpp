@@ -102,6 +102,7 @@ TEST(SnapshotImage, SectionTableDescribesPayloadExactly) {
     expected_offset += sec.size;
   }
   EXPECT_EQ(expected_offset, payload.size());
+  EXPECT_EQ(image->payload_checksum(), util::fnv1a(payload));
   std::remove(s.path.c_str());
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 namespace dmsim::snapshot {
 namespace {
@@ -103,6 +104,78 @@ TEST(Snapshot, SectionTagMismatchNamesTheSection) {
   } catch (const SnapshotError& e) {
     EXPECT_NE(std::string(e.what()).find("engine"), std::string::npos);
   }
+}
+
+TEST(Snapshot, ColumnBytesMatchElementWiseCalls) {
+  const std::vector<std::uint8_t> u8s = {0, 1, 0x7f, 0x80, 0xff};
+  const std::vector<std::uint32_t> u32s = {0, 1, 0xDEADBEEFU, 0xFFFFFFFFU};
+  const std::vector<std::int64_t> i64s = {
+      0, -1, 42, -42, std::numeric_limits<std::int64_t>::min(),
+      std::numeric_limits<std::int64_t>::max()};
+
+  Writer bulk;
+  bulk.column(u8s);
+  bulk.column(u32s);
+  bulk.column(i64s);
+  Writer each;
+  for (const std::uint8_t v : u8s) each.u8(v);
+  for (const std::uint32_t v : u32s) each.u32(v);
+  for (const std::int64_t v : i64s) each.i64(v);
+  EXPECT_EQ(bulk.buffer(), each.buffer());
+  EXPECT_EQ(bulk.buffer().size(), 5U + 4U * 4U + 6U * 8U);
+}
+
+TEST(Snapshot, EmptyColumnWritesNothing) {
+  Writer w;
+  w.column(std::span<const std::uint8_t>{});
+  w.column(std::span<const std::uint32_t>{});
+  w.column(std::span<const std::int64_t>{});
+  EXPECT_TRUE(w.buffer().empty());
+
+  Reader r(w.buffer());
+  std::vector<std::int64_t> none;
+  r.column(none);
+  EXPECT_TRUE(r.at_end());
+}
+
+TEST(Snapshot, ColumnRoundTrip) {
+  const std::vector<std::uint8_t> u8s = {3, 0, 255};
+  const std::vector<std::uint32_t> u32s = {7, 0xFFFFFFFFU};
+  const std::vector<std::int64_t> i64s = {-5, 0, 1LL << 40};
+  Writer w;
+  w.u32(0xABCDU);  // columns read back from a non-zero offset
+  w.column(u8s);
+  w.column(u32s);
+  w.column(i64s);
+
+  Reader r(w.buffer());
+  EXPECT_EQ(r.u32(), 0xABCDU);
+  std::vector<std::uint8_t> u8_out(u8s.size());
+  std::vector<std::uint32_t> u32_out(u32s.size());
+  std::vector<std::int64_t> i64_out(i64s.size());
+  r.column(u8_out);
+  r.column(u32_out);
+  r.column(i64_out);
+  EXPECT_EQ(u8_out, u8s);
+  EXPECT_EQ(u32_out, u32s);
+  EXPECT_EQ(i64_out, i64s);
+  EXPECT_TRUE(r.at_end());
+}
+
+TEST(Snapshot, TruncatedColumnThrowsAndConsumesNothing) {
+  Writer w;
+  w.u32(1);
+  w.column(std::vector<std::int64_t>{1, 2});  // 16 bytes; the read wants 24
+  Reader r(w.buffer());
+  (void)r.u32();
+  std::vector<std::int64_t> out(3, 99);
+  EXPECT_THROW(r.column(out), SnapshotError);
+  EXPECT_EQ(r.position(), 4U);
+  EXPECT_EQ(r.remaining(), 16U);
+  EXPECT_EQ(out, (std::vector<std::int64_t>{99, 99, 99}));
+  // The bytes that are there still read element-wise.
+  EXPECT_EQ(r.i64(), 1);
+  EXPECT_EQ(r.i64(), 2);
 }
 
 TEST(Snapshot, PositionAndRemainingTrackConsumption) {
