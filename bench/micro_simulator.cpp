@@ -403,9 +403,9 @@ BENCHMARK(BM_SnapshotSave)->Arg(20000)->Unit(benchmark::kMillisecond);
 // the cost of the three operations the incremental cluster indexes rewrote:
 // Static host selection (BM_TryStart), bringing slowdowns current after one
 // ledger perturbation (BM_RefreshSlowdowns), and remote growth through the
-// ordered-lender index (BM_GrowRemote). The *Legacy variants reproduce the
-// pre-index algorithms — full node scans plus sorts, and a full two-pass
-// model evaluation — so the speedup is measurable from a single run.
+// ordered-lender index (BM_GrowRemote). BM_RefreshSlowdownsLegacy times the
+// full two-pass model evaluation the incremental refresh replaced, so that
+// speedup is measurable from a single run.
 
 constexpr int kScNormal = 1024;
 constexpr int kScLarge = 466;
@@ -449,56 +449,6 @@ void BM_TryStart(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TryStart);
-
-// The pre-index Static selection: scan all nodes for hostability, partition
-// by sufficiency, sort both classes, then place. Kept verbatim from the old
-// policy so BM_TryStart / BM_TryStartLegacy is the index speedup.
-void BM_TryStartLegacy(benchmark::State& state) {
-  cluster::Cluster c = busy_sc_cluster(nullptr);
-  const trace::JobSpec spec = sc_start_spec();
-  std::vector<NodeId> sufficient;
-  std::vector<NodeId> insufficient;
-  std::vector<NodeId> hosts;
-  for (auto _ : state) {
-    sufficient.clear();
-    insufficient.clear();
-    hosts.clear();
-    for (const auto& n : c.nodes()) {
-      if (!n.idle() || n.memory_node()) continue;
-      (n.free() >= spec.requested_mem ? sufficient : insufficient)
-          .push_back(n.id);
-    }
-    std::sort(sufficient.begin(), sufficient.end(), [&](NodeId a, NodeId b) {
-      const MiB fa = c.node(a).free();
-      const MiB fb = c.node(b).free();
-      if (fa != fb) return fa < fb;  // tightest fit first
-      return a < b;
-    });
-    std::sort(insufficient.begin(), insufficient.end(),
-              [&](NodeId a, NodeId b) {
-                const MiB fa = c.node(a).free();
-                const MiB fb = c.node(b).free();
-                if (fa != fb) return fa > fb;  // most free first
-                return a < b;
-              });
-    for (NodeId n : sufficient) {
-      if (std::cmp_equal(hosts.size(), spec.num_nodes)) break;
-      hosts.push_back(n);
-    }
-    for (NodeId n : insufficient) {
-      if (std::cmp_equal(hosts.size(), spec.num_nodes)) break;
-      hosts.push_back(n);
-    }
-    c.assign_job(spec.id, hosts);
-    for (NodeId h : hosts) {
-      MiB need = spec.requested_mem;
-      need -= c.grow_local(spec.id, h, need);
-      if (need > 0) (void)c.grow_remote(spec.id, h, need);
-    }
-    c.finish_job(spec.id);
-  }
-}
-BENCHMARK(BM_TryStartLegacy);
 
 void BM_RefreshSlowdowns(benchmark::State& state) {
   std::vector<std::uint32_t> running;
@@ -548,9 +498,8 @@ void BM_RefreshSlowdownsLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_RefreshSlowdownsLegacy);
 
-// Whole-ledger hostability scan on the busy 1490-node cluster — the
-// structure-of-arrays form: three column reads per node, no Node
-// materialization, branch-free accumulate.
+// Whole-ledger hostability scan on the busy 1490-node cluster: three column
+// reads per node, branch-free accumulate.
 void BM_LedgerScanSoA(benchmark::State& state) {
   cluster::Cluster c = busy_sc_cluster(nullptr);
   const MiB need = 40 * kGiB;
@@ -570,27 +519,8 @@ void BM_LedgerScanSoA(benchmark::State& state) {
 }
 BENCHMARK(BM_LedgerScanSoA);
 
-// The same scan through the per-node view — the pre-refactor caller
-// pattern (materialize a Node per iteration), retained verbatim so
-// BM_LedgerScanLegacy / BM_LedgerScanSoA is the columnar-ledger speedup.
-void BM_LedgerScanLegacy(benchmark::State& state) {
-  cluster::Cluster c = busy_sc_cluster(nullptr);
-  const MiB need = 40 * kGiB;
-  for (auto _ : state) {
-    std::size_t hits = 0;
-    for (const auto& n : c.nodes()) {
-      if (n.idle() && !n.memory_node() && n.free() >= need) ++hits;
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(c.node_count()));
-}
-BENCHMARK(BM_LedgerScanLegacy);
-
-// Full invariant audit of the busy cluster: with the columnar ledger this is
-// a handful of linear passes plus per-index walks (plus, in debug builds,
-// the node-view parity sweep — benches build Release, so that's off).
+// Full invariant audit of the busy cluster: a handful of linear passes over
+// the columns plus one walk of each ordered index.
 void BM_CheckInvariants(benchmark::State& state) {
   cluster::Cluster c = busy_sc_cluster(nullptr);
   for (auto _ : state) {

@@ -8,16 +8,16 @@
 //     Grizzly node mix and arrival process replicated to the target count,
 //     run under the Dynamic policy through harness::SweepRunner;
 //   * whole-ledger probe timings on a deterministically-busy cluster of that
-//     size — the structure-of-arrays column scan vs the retained per-node
-//     view scan (ns/node each), and one incremental slowdown refresh vs a
-//     full two-pass contention evaluation;
+//     size — the structure-of-arrays hostability scan (ns/node), and one
+//     incremental slowdown refresh vs a full two-pass contention evaluation;
 //   * wall time, events/s and process peak RSS for the week.
 //
 // stdout is the deterministic half (topology, workload and simulation
 // metrics — byte-identical at any --threads); wall-clock quantities go only
 // to the --json report. --enforce-floors turns the report into a gate: the
-// SoA scan must beat the per-node scan >= 3x at every scale, and the
-// incremental refresh must beat the full evaluation >= 5x at >= 100k nodes.
+// column scan must stay within kScanCeilingNs ns/node at every scale, and
+// the incremental refresh must beat the full evaluation >= 5x at >= 100k
+// nodes.
 //
 //   scale_sweep [--scale grizzly|10k|100k|1m|N]... [--threads N]
 //               [--json FILE] [--enforce-floors] [--progress]
@@ -47,7 +47,9 @@ namespace {
 using namespace dmsim;
 
 constexpr MiB kGiB = 1024;
-constexpr double kScanFloor = 3.0;      // SoA scan vs per-node view scan
+// Column-scan budget: ~5x the ~0.6 ns/node median of the committed
+// BENCH_scale.json runs (Release, 4-vCPU shared VM).
+constexpr double kScanCeilingNs = 3.0;
 constexpr double kRefreshFloor = 5.0;   // incremental vs full refresh
 constexpr int kRefreshFloorNodes = 100'000;  // refresh floor applies from here
 
@@ -124,8 +126,6 @@ struct Options {
 /// Probe timings for one scale point. All wall-clock; JSON-only.
 struct ProbeReport {
   double soa_scan_ns_per_node = 0.0;
-  double legacy_scan_ns_per_node = 0.0;
-  double scan_speedup = 0.0;
   double refresh_incremental_us = 0.0;
   double refresh_full_us = 0.0;
   double refresh_speedup = 0.0;
@@ -169,8 +169,8 @@ template <typename Op>
   return elapsed / static_cast<double>(iters);
 }
 
-/// The hostability question every placement asks, over the whole ledger.
-/// SoA form: three column scans, no Node materialization.
+/// The hostability question every placement asks, over the whole ledger:
+/// three column scans.
 [[nodiscard]] std::size_t scan_soa(const cluster::Cluster& c, MiB need) {
   const std::span<const MiB> free = c.free_column();
   const std::span<const std::uint8_t> mem = c.memory_node_column();
@@ -183,16 +183,6 @@ template <typename Op>
   return hits;
 }
 
-/// The same question through the per-node view — the pre-refactor caller
-/// pattern, retained verbatim so the column payoff stays measurable.
-[[nodiscard]] std::size_t scan_legacy(const cluster::Cluster& c, MiB need) {
-  std::size_t hits = 0;
-  for (const auto& n : c.nodes()) {
-    if (n.idle() && !n.memory_node() && n.free() >= need) ++hits;
-  }
-  return hits;
-}
-
 [[nodiscard]] ProbeReport run_probes(const cluster::ClusterConfig& topology) {
   ProbeReport out;
   std::vector<std::uint32_t> running;
@@ -200,18 +190,11 @@ template <typename Op>
   const double n = static_cast<double>(c.node_count());
   const MiB need = 40 * kGiB;
 
-  // Both scans must agree before their timings mean anything.
-  std::size_t soa_hits = 0;
-  std::size_t legacy_hits = 0;
-  const double soa_s =
-      time_loop(0.05, [&] { soa_hits = scan_soa(c, need); });
-  const double legacy_s =
-      time_loop(0.05, [&] { legacy_hits = scan_legacy(c, need); });
-  DMSIM_ASSERT(soa_hits == legacy_hits,
-               "scale_sweep: SoA and per-node scans disagree");
+  const double soa_s = time_loop(0.05, [&] {
+    volatile std::size_t sink = scan_soa(c, need);
+    (void)sink;
+  });
   out.soa_scan_ns_per_node = soa_s * 1e9 / n;
-  out.legacy_scan_ns_per_node = legacy_s * 1e9 / n;
-  out.scan_speedup = soa_s > 0.0 ? legacy_s / soa_s : 0.0;
 
   // Slowdown refresh after one borrow-edge perturbation: the dirty-set
   // incremental path vs a full two-pass evaluation of every running job.
@@ -309,8 +292,6 @@ void write_report(const Options& opts, const std::vector<ScaleReport>& reports,
         r.rss_mib > 0 ? static_cast<std::uint64_t>(r.rss_mib) : 0));
     w.key("probes").begin_object();
     w.key("soa_scan_ns_per_node").value(r.probes.soa_scan_ns_per_node);
-    w.key("legacy_scan_ns_per_node").value(r.probes.legacy_scan_ns_per_node);
-    w.key("scan_speedup").value(r.probes.scan_speedup);
     w.key("refresh_incremental_us").value(r.probes.refresh_incremental_us);
     w.key("refresh_full_us").value(r.probes.refresh_full_us);
     w.key("refresh_speedup").value(r.probes.refresh_speedup);
@@ -319,7 +300,7 @@ void write_report(const Options& opts, const std::vector<ScaleReport>& reports,
   }
   w.end_array();
   w.key("floors").begin_object();
-  w.key("scan_speedup_min").value(kScanFloor);
+  w.key("scan_ns_per_node_max").value(kScanCeilingNs);
   w.key("refresh_speedup_min").value(kRefreshFloor);
   w.key("refresh_floor_nodes").value(
       static_cast<std::uint64_t>(kRefreshFloorNodes));
@@ -389,14 +370,12 @@ int main(int argc, char** argv) {
     r.probes = run_probes(r.scale.topology);
     r.rss_mib = peak_rss_mib();
     std::cerr << "# " << r.point.name << " probes: soa "
-              << r.probes.soa_scan_ns_per_node << " ns/node, legacy "
-              << r.probes.legacy_scan_ns_per_node << " ns/node ("
-              << r.probes.scan_speedup << "x); refresh "
+              << r.probes.soa_scan_ns_per_node << " ns/node; refresh "
               << r.probes.refresh_incremental_us << " us vs full "
               << r.probes.refresh_full_us << " us ("
               << r.probes.refresh_speedup << "x)\n";
 
-    if (r.probes.scan_speedup < kScanFloor) floors_pass = false;
+    if (r.probes.soa_scan_ns_per_node > kScanCeilingNs) floors_pass = false;
     if (r.point.nodes >= kRefreshFloorNodes &&
         r.probes.refresh_speedup < kRefreshFloor) {
       floors_pass = false;
@@ -407,8 +386,8 @@ int main(int argc, char** argv) {
   if (!opts.json_path.empty()) write_report(opts, reports, floors_pass);
 
   if (opts.enforce_floors && !floors_pass) {
-    std::cerr << "error: perf floors not met (scan >= " << kScanFloor
-              << "x everywhere; refresh >= " << kRefreshFloor << "x at >= "
+    std::cerr << "error: perf floors not met (scan <= " << kScanCeilingNs
+              << " ns/node everywhere; refresh >= " << kRefreshFloor << "x at >= "
               << kRefreshFloorNodes << " nodes)\n";
     return 1;
   }

@@ -190,28 +190,6 @@ std::uint32_t Cluster::checked(NodeId id) const {
   return id.get();
 }
 
-Node Cluster::node(NodeId id) const {
-  const std::uint32_t i = checked(id);
-  Node n;
-  n.id = id;
-  n.cores = cores_[i];
-  n.capacity = capacity_[i];
-  n.large = large_[i] != 0;
-  n.running_job = JobId{running_job_[i]};
-  n.local_used = local_used_[i];
-  n.lent = lent_[i];
-  return n;
-}
-
-std::vector<Node> Cluster::materialize_nodes() const {
-  std::vector<Node> out;
-  out.reserve(node_count());
-  for (std::uint32_t i = 0; i < node_count(); ++i) {
-    out.push_back(node(NodeId{i}));
-  }
-  return out;
-}
-
 std::span<const NodeId> Cluster::nodes_by_capacity_at_least(
     MiB capacity) const noexcept {
   const auto it = std::lower_bound(capacities_sorted_.begin(),
@@ -1022,31 +1000,6 @@ void Cluster::check_invariants() const {
                      "per-tier mem-free index entry invalid");
       }
     }
-  }
-  if (debug_parity_) check_node_view_parity();
-}
-
-void Cluster::check_node_view_parity() const {
-  // The legacy AoS materialization recomputes free()/memory_node()/idle()
-  // from first principles; every derived column and predicate accessor must
-  // agree with it node for node.
-  const std::vector<Node> view = materialize_nodes();
-  DMSIM_ASSERT(view.size() == node_count(),
-               "materialized view size disagrees with node count");
-  for (const Node& v : view) {
-    const NodeId id = v.id;
-    const std::uint32_t i = id.get();
-    DMSIM_ASSERT(v.free() == free_[i], "view free() disagrees with column");
-    DMSIM_ASSERT(v.memory_node() == (mem_node_[i] != 0),
-                 "view memory_node() disagrees with column");
-    DMSIM_ASSERT(v.idle() == is_idle(id),
-                 "view idle() disagrees with accessor");
-    DMSIM_ASSERT(v.capacity == capacity_of(id) && v.local_used == local_used_of(id) &&
-                     v.lent == lent_of(id) && v.cores == cores_of(id) &&
-                     v.large == is_large(id),
-                 "view fields disagree with column accessors");
-    DMSIM_ASSERT(can_host(id) == (v.idle() && !v.memory_node()),
-                 "can_host() disagrees with view predicates");
   }
 }
 

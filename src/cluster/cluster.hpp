@@ -22,11 +22,9 @@
 // so full-ledger scans — invariant sweeps, slowdown evaluation, snapshot
 // serialization, the scale_sweep probes — touch only the columns they need
 // and stay cache-linear at 100k-1M nodes, where the former vector<Node> of
-// fat per-node objects paid a full struct line per probe. The public
-// `Node` type remains as a *value view*: `node(id)` materializes one from
-// the columns, and `nodes()` yields views, so existing callers compile
-// unchanged. Hot paths use the `*_of()` column accessors instead, which
-// read exactly one array element.
+// fat per-node objects paid a full struct line per probe. The columns are
+// the only representation of a node: callers read one attribute with the
+// `*_of()` accessors (one array element each) or a whole column as a span.
 //
 // The allocation ledger is job-major: each assigned job owns a dense slab
 // entry (a recycled internal handle) holding its hosts and slots
@@ -135,27 +133,6 @@ struct ClusterConfig {
                                                 int large_count, MiB large_mib,
                                                 int cores = 32);
 
-/// Read-only *value view* of one node, materialized from the ledger columns
-/// by `Cluster::node()` / `Cluster::nodes()`. It carries the same fields the
-/// former stored per-node struct had, so query-side callers are layout-
-/// agnostic. Views are snapshots: a view taken before a mutation does not
-/// observe it.
-struct Node {
-  NodeId id{};
-  int cores = 0;
-  MiB capacity = 0;
-  bool large = false;
-
-  JobId running_job{};  ///< invalid when idle
-  MiB local_used = 0;   ///< allocated to the hosted job from this node's DRAM
-  MiB lent = 0;         ///< allocated to jobs hosted elsewhere
-
-  [[nodiscard]] bool idle() const noexcept { return !running_job.valid(); }
-  [[nodiscard]] MiB free() const noexcept { return capacity - local_used - lent; }
-  /// Past the half-capacity lending mark => memory node (cannot host).
-  [[nodiscard]] bool memory_node() const noexcept { return lent * 2 > capacity; }
-};
-
 /// One job's memory on one of its hosts: local share plus borrow edges.
 struct AllocationSlot {
   JobId job{};
@@ -181,9 +158,6 @@ struct AllocationSlot {
 
 class Cluster {
  public:
-  class NodeIterator;
-  class NodeView;
-
   explicit Cluster(ClusterConfig config);
 
   /// Wire observability: trace ledger churn (lend/reclaim, slot grow/shrink)
@@ -194,11 +168,6 @@ class Cluster {
   [[nodiscard]] std::size_t node_count() const noexcept {
     return capacity_.size();
   }
-  /// Materialize the value view of one node from the columns.
-  [[nodiscard]] Node node(NodeId id) const;
-  /// Iterable range of node views (ascending id). Prefer the column
-  /// accessors below on hot paths — a view materializes every attribute.
-  [[nodiscard]] NodeView nodes() const noexcept;
   [[nodiscard]] MiB total_capacity() const noexcept { return total_capacity_; }
   [[nodiscard]] MiB total_allocated() const noexcept { return total_allocated_; }
   [[nodiscard]] MiB total_free() const noexcept {
@@ -318,11 +287,6 @@ class Cluster {
       const noexcept {
     return mem_node_;
   }
-
-  /// Materialize the legacy array-of-structs per-node view. Used by the
-  /// debug parity checker and the retained *Legacy scan benchmarks; never
-  /// on a production path.
-  [[nodiscard]] std::vector<Node> materialize_nodes() const;
 
   /// Monotonic counter bumped by every mutation that changes ledger state
   /// (assignment, completion, any grow/shrink that moved memory). A policy
@@ -456,18 +420,6 @@ class Cluster {
   /// aborts (DMSIM_ASSERT) on violation. One cache-linear pass over the
   /// columns plus one walk of each ordered index — no per-node tree probes.
   void check_invariants() const;
-
-  /// Cross-check the materialized per-node view against the columns:
-  /// free()/memory_node()/idle() recomputed from a legacy AoS
-  /// materialization must agree with the free/mem-node columns and
-  /// can_host() for every node. Cheap insurance that the SoA refactor and
-  /// the value-view stay in lockstep; called from check_invariants() when
-  /// parity checking is enabled (default: debug builds only).
-  void check_node_view_parity() const;
-
-  /// Enable/disable the per-invariant-check view parity sweep at runtime
-  /// (the fuzz harnesses force it on in every build type).
-  void set_debug_parity(bool enabled) noexcept { debug_parity_ = enabled; }
 
   /// Serialize mutable ledger state: the tier table and tier/rack columns
   /// (v4 — restore cross-checks them against the configured topology so a
@@ -744,13 +696,6 @@ class Cluster {
   std::vector<JobId> dirty_jobs_;
   std::vector<std::uint8_t> lender_dirty_flag_;
 
-  bool debug_parity_ =
-#ifdef NDEBUG
-      false;
-#else
-      true;
-#endif
-
   // Observability (all nullptr when disabled).
   const obs::Observer* obs_ = nullptr;
   std::uint64_t* c_lend_ops_ = nullptr;
@@ -775,59 +720,5 @@ class Cluster {
   /// only when tiered, so flat-topology telemetry is unchanged.
   std::vector<obs::Gauge*> g_tier_lent_;
 };
-
-/// Forward iterator over node value views (ascending id).
-class Cluster::NodeIterator {
- public:
-  using iterator_category = std::input_iterator_tag;
-  using value_type = Node;
-  using difference_type = std::ptrdiff_t;
-  using pointer = void;
-  using reference = Node;
-
-  NodeIterator() = default;
-  NodeIterator(const Cluster* c, std::uint32_t i) noexcept : c_(c), i_(i) {}
-
-  [[nodiscard]] Node operator*() const { return c_->node(NodeId{i_}); }
-  NodeIterator& operator++() noexcept {
-    ++i_;
-    return *this;
-  }
-  NodeIterator operator++(int) noexcept {
-    NodeIterator t = *this;
-    ++i_;
-    return t;
-  }
-  friend bool operator==(const NodeIterator& a, const NodeIterator& b) noexcept {
-    return a.i_ == b.i_;
-  }
-
- private:
-  const Cluster* c_ = nullptr;
-  std::uint32_t i_ = 0;
-};
-
-/// Range of node value views. `for (const auto& n : cluster.nodes())`
-/// behaves exactly as it did over the former stored-node span (each `n` is
-/// a materialized snapshot).
-class Cluster::NodeView {
- public:
-  explicit NodeView(const Cluster* c) noexcept : c_(c) {}
-  [[nodiscard]] NodeIterator begin() const noexcept {
-    return NodeIterator{c_, 0};
-  }
-  [[nodiscard]] NodeIterator end() const noexcept {
-    return NodeIterator{c_, static_cast<std::uint32_t>(c_->node_count())};
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return c_->node_count(); }
-  [[nodiscard]] bool empty() const noexcept { return c_->node_count() == 0; }
-
- private:
-  const Cluster* c_;
-};
-
-inline Cluster::NodeView Cluster::nodes() const noexcept {
-  return NodeView{this};
-}
 
 }  // namespace dmsim::cluster

@@ -9,6 +9,7 @@
 #include <charconv>
 #include <cstring>
 #include <istream>
+#include <list>
 #include <ostream>
 #include <utility>
 
@@ -441,17 +442,33 @@ void Server::listen_and_serve(std::ostream& log) {
   log << "dmsim_serve: listening on 127.0.0.1:" << port() << "\n"
       << std::flush;
 
-  std::vector<std::thread> connections;
+  // A connection thread sets `done` as its last act, so the accept loop can
+  // join finished ones without blocking: a long-lived daemon holds only the
+  // stacks of its open connections, not of every connection it ever served.
+  struct Connection {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+  std::list<Connection> connections;
   while (!shutdown_requested()) {
     const int conn = ::accept(fd, nullptr, nullptr);
     if (conn < 0) {
       if (errno == EINTR) continue;
       break;  // listen fd closed by request_shutdown (or fatal error)
     }
-    connections.emplace_back(&Server::serve_connection, this, conn);
+    connections.remove_if([](Connection& c) {
+      if (!c.done.load(std::memory_order_acquire)) return false;
+      c.thread.join();
+      return true;
+    });
+    Connection& c = connections.emplace_back();
+    c.thread = std::thread([this, conn, &c] {
+      serve_connection(conn);
+      c.done.store(true, std::memory_order_release);
+    });
   }
   request_shutdown();  // closes the listen fd if still open
-  for (std::thread& t : connections) t.join();
+  for (Connection& c : connections) c.thread.join();
 }
 
 }  // namespace dmsim::serve

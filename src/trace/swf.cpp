@@ -1,8 +1,10 @@
 #include "trace/swf.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -13,6 +15,7 @@ namespace dmsim::trace {
 namespace {
 
 constexpr int kSwfFieldCount = 18;
+constexpr double kMaxSwfInteger = 9007199254740992.0;  // 2^53
 
 [[nodiscard]] std::string strip(const std::string& s) {
   const auto first = s.find_first_not_of(" \t\r\n");
@@ -35,34 +38,48 @@ SwfTrace read_swf(std::istream& in) {
       out.header_comments.push_back(strip(text.substr(1)));
       continue;
     }
+    const auto error = [line_no](const std::string& what) {
+      return TraceError("SWF line " + std::to_string(line_no) + ": " + what);
+    };
     std::istringstream fields(text);
     double v[kSwfFieldCount];
     for (int i = 0; i < kSwfFieldCount; ++i) {
       if (!(fields >> v[i])) {
-        throw TraceError("SWF line " + std::to_string(line_no) +
-                         ": expected 18 fields, got " + std::to_string(i));
+        throw error("expected 18 fields, got " + std::to_string(i));
       }
     }
     SwfRecord r;
-    const auto as_int = [](double d) { return static_cast<std::int64_t>(std::llround(d)); };
-    r.job_number = as_int(v[0]);
+    // Past 2^53 a double no longer holds every integer (and llround is
+    // undefined past int64); no real SWF count comes near it.
+    const auto as_int = [&](int i) {
+      if (!(std::fabs(v[i]) <= kMaxSwfInteger)) {
+        throw error("field " + std::to_string(i + 1) + " out of range");
+      }
+      return static_cast<std::int64_t>(std::llround(v[i]));
+    };
+    r.job_number = as_int(0);
     r.submit_time = v[1];
     r.wait_time = v[2];
     r.run_time = v[3];
-    r.allocated_procs = as_int(v[4]);
+    r.allocated_procs = as_int(4);
     r.avg_cpu_time = v[5];
-    r.used_memory_kb = as_int(v[6]);
-    r.requested_procs = as_int(v[7]);
+    r.used_memory_kb = as_int(6);
+    r.requested_procs = as_int(7);
     r.requested_time = v[8];
-    r.requested_memory_kb = as_int(v[9]);
-    r.status = as_int(v[10]);
-    r.user_id = as_int(v[11]);
-    r.group_id = as_int(v[12]);
-    r.executable = as_int(v[13]);
-    r.queue = as_int(v[14]);
-    r.partition = as_int(v[15]);
-    r.preceding_job = as_int(v[16]);
+    r.requested_memory_kb = as_int(9);
+    r.status = as_int(10);
+    r.user_id = as_int(11);
+    r.group_id = as_int(12);
+    r.executable = as_int(13);
+    r.queue = as_int(14);
+    r.partition = as_int(15);
+    r.preceding_job = as_int(16);
     r.think_time = v[17];
+    // Job ids are 32-bit; a wider number would be silently truncated.
+    if (r.job_number >= std::int64_t{JobId::kInvalid} ||
+        r.preceding_job >= std::int64_t{JobId::kInvalid}) {
+      throw error("job number out of range");
+    }
     out.records.push_back(r);
   }
   return out;
@@ -135,14 +152,19 @@ Workload from_swf(const SwfTrace& trace, int cores_per_node) {
     j.submit_time = r.submit_time >= 0 ? r.submit_time : 0.0;
     const std::int64_t procs =
         r.requested_procs > 0 ? r.requested_procs : r.allocated_procs;
-    j.num_nodes = static_cast<int>(
-        std::max<std::int64_t>(1, (procs + cores_per_node - 1) / cores_per_node));
+    // Saturate rather than wrap: a job wider than any cluster is infeasible.
+    j.num_nodes = static_cast<int>(std::clamp<std::int64_t>(
+        (procs + cores_per_node - 1) / cores_per_node, 1,
+        std::numeric_limits<int>::max()));
     j.duration = r.run_time > 0 ? r.run_time : 0.0;
     j.walltime = r.requested_time > 0 ? r.requested_time : j.duration;
     const std::int64_t mem_kb =
         r.requested_memory_kb > 0 ? r.requested_memory_kb : r.used_memory_kb;
-    j.requested_mem =
-        mem_kb > 0 ? (mem_kb * cores_per_node) / 1024 : 0;
+    constexpr std::int64_t kMaxKb = std::numeric_limits<std::int64_t>::max();
+    j.requested_mem = mem_kb <= 0 ? 0
+                      : mem_kb > kMaxKb / cores_per_node
+                          ? kMaxKb / 1024
+                          : (mem_kb * cores_per_node) / 1024;
     j.usage = UsageTrace::constant(j.requested_mem);
     if (r.preceding_job >= 0) {
       j.preceding_job = JobId{static_cast<std::uint32_t>(r.preceding_job)};

@@ -50,8 +50,14 @@ UsageTraceMap read_usage_traces(std::istream& in) {
   std::uint32_t current_id = 0;
   std::size_t remaining = 0;
   bool in_block = false;
+  // Both vectors grow from the lines actually read: a header count sizes
+  // nothing, so an absurd count costs an "ended early" error, not memory.
   std::vector<UsagePoint> points;
   std::vector<double> scales;
+  const auto error = [&line_no](const std::string& what) {
+    return TraceError("usage trace line " + std::to_string(line_no) + ": " +
+                      what);
+  };
 
   const auto finish_block = [&] {
     if (!in_block) return;
@@ -85,44 +91,51 @@ UsageTraceMap read_usage_traces(std::istream& in) {
       std::int64_t id = -1;
       std::int64_t count = -1;
       if (!(fields >> id >> count) || id < 0 || count <= 0) {
-        throw TraceError("usage trace line " + std::to_string(line_no) +
-                         ": malformed job header");
+        throw error("malformed job header");
+      }
+      if (id >= std::int64_t{JobId::kInvalid}) {
+        throw error("job id " + std::to_string(id) + " out of range");
       }
       current_id = static_cast<std::uint32_t>(id);
       remaining = static_cast<std::size_t>(count);
-      points.reserve(remaining);
       in_block = true;
       continue;
     }
     if (head == "scales") {
       if (!in_block || !points.empty()) {
-        throw TraceError("usage trace line " + std::to_string(line_no) +
-                         ": scales must follow the job header");
+        throw error("scales must follow the job header");
       }
       std::size_t n = 0;
-      if (!(fields >> n) || n == 0) {
-        throw TraceError("usage trace line " + std::to_string(line_no) +
-                         ": malformed scales header");
-      }
-      scales.resize(n);
-      for (auto& s : scales) {
-        if (!(fields >> s) || s <= 0.0 || s > 1.0) {
-          throw TraceError("usage trace line " + std::to_string(line_no) +
-                           ": scale factors must be in (0, 1]");
+      if (!(fields >> n) || n == 0) throw error("malformed scales header");
+      for (std::size_t k = 0; k < n; ++k) {
+        double s = 0.0;
+        if (!(fields >> s) || !(s > 0.0 && s <= 1.0)) {
+          throw error("scale factors must be in (0, 1]");
         }
+        scales.push_back(s);
       }
       continue;
     }
     if (!in_block || remaining == 0) {
-      throw TraceError("usage trace line " + std::to_string(line_no) +
-                       ": data point outside a job block");
+      throw error("data point outside a job block");
     }
     UsagePoint p;
     std::istringstream point_fields(line);
     if (!(point_fields >> p.progress >> p.mem)) {
-      throw TraceError("usage trace line " + std::to_string(line_no) +
-                       ": malformed data point");
+      throw error("malformed data point");
     }
+    // UsageTrace's own contract, checked here so bad input is an error
+    // naming its line rather than an assertion.
+    if (points.empty() && p.progress != 0.0) {
+      throw error("first point must be at progress 0");
+    }
+    if (!points.empty() && !(p.progress > points.back().progress)) {
+      throw error("progress must be strictly increasing");
+    }
+    if (!(p.progress >= 0.0 && p.progress <= 1.0)) {
+      throw error("progress out of [0, 1]");
+    }
+    if (p.mem < 0) throw error("memory must be non-negative");
     points.push_back(p);
     --remaining;
   }

@@ -41,10 +41,11 @@ TEST(ClusterTest, InitialState) {
   EXPECT_EQ(c.total_allocated(), 0);
   EXPECT_EQ(c.total_free(), c.total_capacity());
   EXPECT_EQ(c.idle_hostable_nodes(), 4);
-  for (const auto& n : c.nodes()) {
-    EXPECT_TRUE(n.idle());
-    EXPECT_FALSE(n.memory_node());
-    EXPECT_EQ(n.free(), n.capacity);
+  for (std::uint32_t i = 0; i < c.node_count(); ++i) {
+    const NodeId id{i};
+    EXPECT_TRUE(c.is_idle(id));
+    EXPECT_FALSE(c.is_memory_node(id));
+    EXPECT_EQ(c.free_of(id), c.capacity_of(id));
   }
 }
 
@@ -76,7 +77,7 @@ TEST(ClusterTest, GrowLocalUpToCapacity) {
   EXPECT_EQ(c.slot(job, NodeId{0}).local, 10 * kGiB);
   // Asking beyond capacity grants only what is free.
   EXPECT_EQ(c.grow_local(job, NodeId{0}, 100 * kGiB), 54 * kGiB);
-  EXPECT_EQ(c.node(NodeId{0}).free(), 0);
+  EXPECT_EQ(c.free_of(NodeId{0}), 0);
   c.check_invariants();
 }
 
@@ -108,9 +109,9 @@ TEST(ClusterTest, GrowRemotePartialWhenPoolExhausted) {
   Cluster c = small_cluster();
   const JobId job{1};
   c.assign_job(job, std::vector<NodeId>{NodeId{0}});
-  const MiB rest = c.total_capacity() - c.node(NodeId{0}).capacity;
+  const MiB rest = c.total_capacity() - c.capacity_of(NodeId{0});
   EXPECT_EQ(c.grow_remote(job, NodeId{0}, rest + 5000), rest);
-  EXPECT_EQ(c.total_free(), c.node(NodeId{0}).capacity);
+  EXPECT_EQ(c.total_free(), c.capacity_of(NodeId{0}));
   c.check_invariants();
 }
 
@@ -124,7 +125,7 @@ TEST(ClusterTest, ShrinkRemoteReturnsToLenders) {
   // Shrinking more than held releases only what exists.
   EXPECT_EQ(c.shrink_remote(job, NodeId{0}, 1000 * kGiB), 60 * kGiB);
   EXPECT_EQ(c.slot(job, NodeId{0}).remote_total(), 0);
-  for (const auto& n : c.nodes()) EXPECT_EQ(n.lent, 0);
+  for (const MiB lent : c.lent_column()) EXPECT_EQ(lent, 0);
   c.check_invariants();
 }
 
@@ -135,11 +136,12 @@ TEST(ClusterTest, MemoryNodeRuleBlocksHosting) {
   // Borrow enough that some node crosses the half-capacity mark.
   (void)c.grow_remote(job, NodeId{3}, 3 * 64 * kGiB - 3000);
   int memory_nodes = 0;
-  for (const auto& n : c.nodes()) {
-    if (n.memory_node()) {
+  for (std::uint32_t i = 0; i < c.node_count(); ++i) {
+    const NodeId id{i};
+    if (c.is_memory_node(id)) {
       ++memory_nodes;
-      EXPECT_FALSE(c.can_host(n.id));
-      EXPECT_TRUE(n.idle());  // idle yet not hostable
+      EXPECT_FALSE(c.can_host(id));
+      EXPECT_TRUE(c.is_idle(id));  // idle yet not hostable
     }
   }
   EXPECT_GT(memory_nodes, 0);
@@ -165,9 +167,9 @@ TEST(ClusterTest, FinishJobReturnsAllBorrows) {
   (void)c.grow_remote(job, NodeId{0}, 90 * kGiB);
   c.finish_job(job);
   EXPECT_EQ(c.total_allocated(), 0);
-  for (const auto& n : c.nodes()) {
-    EXPECT_EQ(n.lent, 0);
-    EXPECT_EQ(n.local_used, 0);
+  for (std::uint32_t i = 0; i < c.node_count(); ++i) {
+    EXPECT_EQ(c.lent_of(NodeId{i}), 0);
+    EXPECT_EQ(c.local_used_of(NodeId{i}), 0);
   }
   c.check_invariants();
 }
@@ -186,7 +188,7 @@ TEST(ClusterTest, BorrowersOfListsEdges) {
   MiB total = 0;
   for (const auto& e : edges) total += e.amount;
   EXPECT_EQ(total, 30 * kGiB);
-  EXPECT_EQ(c.node(NodeId{3}).lent, 30 * kGiB);
+  EXPECT_EQ(c.lent_of(NodeId{3}), 30 * kGiB);
 }
 
 TEST(ClusterTest, LenderPolicyMostFreePrefersLargestFree) {
@@ -195,8 +197,8 @@ TEST(ClusterTest, LenderPolicyMostFreePrefersLargestFree) {
   c.assign_job(job, std::vector<NodeId>{NodeId{0}});
   (void)c.grow_remote(job, NodeId{0}, 10 * kGiB);
   // Node 3 (128 GiB, all free) must be the lender.
-  EXPECT_EQ(c.node(NodeId{3}).lent, 10 * kGiB);
-  EXPECT_EQ(c.node(NodeId{1}).lent, 0);
+  EXPECT_EQ(c.lent_of(NodeId{3}), 10 * kGiB);
+  EXPECT_EQ(c.lent_of(NodeId{1}), 0);
 }
 
 TEST(ClusterTest, LenderPolicyLeastFreePacksTightly) {
@@ -205,7 +207,7 @@ TEST(ClusterTest, LenderPolicyLeastFreePacksTightly) {
   c.assign_job(job, std::vector<NodeId>{NodeId{3}});
   (void)c.grow_remote(job, NodeId{3}, 10 * kGiB);
   // All normal nodes tie on free; deterministic tie-break picks node 0.
-  EXPECT_EQ(c.node(NodeId{0}).lent, 10 * kGiB);
+  EXPECT_EQ(c.lent_of(NodeId{0}), 10 * kGiB);
 }
 
 TEST(ClusterTest, LenderPolicyMemoryNodesFirstReusesLenders) {
@@ -219,17 +221,17 @@ TEST(ClusterTest, LenderPolicyMemoryNodesFirstReusesLenders) {
   // Borrow heavily so one normal node becomes a memory node.
   (void)c.grow_remote(a, NodeId{3}, 40 * kGiB);
   NodeId lender{NodeId::kInvalid};
-  for (const auto& n : c.nodes()) {
-    if (n.lent > 0) lender = n.id;
+  for (std::uint32_t i = 0; i < c.node_count(); ++i) {
+    if (c.lent_of(NodeId{i}) > 0) lender = NodeId{i};
   }
   ASSERT_TRUE(lender.valid());
-  EXPECT_TRUE(c.node(lender).memory_node());
+  EXPECT_TRUE(c.is_memory_node(lender));
   // A second borrow should drain the same (memory) node first.
   const JobId b{2};
   c.assign_job(b, std::vector<NodeId>{NodeId{0} == lender ? NodeId{1} : NodeId{0}});
-  (void)c.grow_remote(b, c.node(NodeId{0}) .id == lender ? NodeId{1} : NodeId{0},
+  (void)c.grow_remote(b, NodeId{0} == lender ? NodeId{1} : NodeId{0},
                       10 * kGiB);
-  EXPECT_EQ(c.node(lender).lent, 50 * kGiB);
+  EXPECT_EQ(c.lent_of(lender), 50 * kGiB);
 }
 
 TEST(ClusterTest, SelfBorrowNeverHappens) {
@@ -332,7 +334,7 @@ TEST(ClusterTest, ShrinkRemoteFullReturnMarksLenderDirty) {
   c.assign_job(job, std::vector<NodeId>{NodeId{0}});
   (void)c.grow_local(job, NodeId{0}, 64 * kGiB);
   ASSERT_EQ(c.grow_remote(job, NodeId{0}, 10 * kGiB), 10 * kGiB);
-  ASSERT_EQ(c.node(NodeId{3}).lent, 10 * kGiB);  // MostFree -> large node
+  ASSERT_EQ(c.lent_of(NodeId{3}), 10 * kGiB);  // MostFree -> large node
   c.clear_contention_dirty();
   ASSERT_TRUE(c.dirty_lenders().empty());
 
@@ -368,8 +370,8 @@ TEST_P(ClusterFuzzTest, RandomOpSequenceKeepsInvariants) {
     if (op < 0.25) {
       // Try to assign a new 1-2 node job.
       std::vector<NodeId> hosts;
-      for (const auto& n : c.nodes()) {
-        if (c.can_host(n.id)) hosts.push_back(n.id);
+      for (std::uint32_t i = 0; i < c.node_count(); ++i) {
+        if (c.can_host(NodeId{i})) hosts.push_back(NodeId{i});
       }
       const int want = static_cast<int>(rng.uniform_int(1, 2));
       if (static_cast<int>(hosts.size()) >= want) {

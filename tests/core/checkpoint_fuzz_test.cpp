@@ -183,9 +183,8 @@ TEST(CheckpointFuzz, RandomCutsReproduceBitIdenticalResults) {
       const SimulationResult res_result = resumed->run();
       EXPECT_EQ(metrics::to_json(res_result), ref_json)
           << c.name << " cut=" << cut << ": restored run diverged";
-      // Full invariant suite plus the column/view parity sweep over the
-      // restored ledger (bulk-rebuilt indexes, columnar or legacy layout).
-      resumed->cluster().set_debug_parity(true);
+      // Full invariant suite over the restored ledger (bulk-rebuilt
+      // indexes, columnar or legacy layout).
       resumed->cluster().check_invariants();
       EXPECT_EQ(res_result.engine_events, ref_result.engine_events);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -41,11 +42,7 @@ TEST(SystemConfig, ToClusterConfigRoundTrips) {
   const cluster::Cluster c(sys.to_cluster_config());
   EXPECT_EQ(c.node_count(), 8u);
   EXPECT_EQ(c.total_capacity(), sys.total_memory());
-  int large = 0;
-  for (const auto& n : c.nodes()) {
-    if (n.large) ++large;
-  }
-  EXPECT_EQ(large, 2);
+  EXPECT_EQ(std::count(c.large_column().begin(), c.large_column().end(), 1), 2);
 }
 
 TEST(MemoryLadder, ReproducesPaperAxisPoints) {

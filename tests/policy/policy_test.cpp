@@ -67,7 +67,7 @@ TEST(Baseline, PrefersSmallestSufficientNode) {
   const auto job = make_job(1, 1, 10 * kGiB);
   EXPECT_TRUE(p.try_start(job, c));
   // Best fit: a 64 GiB node, not the 128 GiB one.
-  EXPECT_FALSE(c.node(NodeId{3}).running_job.valid());
+  EXPECT_TRUE(c.is_idle(NodeId{3}));
 }
 
 TEST(Baseline, LargeRequestNeedsLargeNode) {
@@ -75,7 +75,7 @@ TEST(Baseline, LargeRequestNeedsLargeNode) {
   BaselinePolicy p;
   const auto job = make_job(1, 1, 100 * kGiB);
   EXPECT_TRUE(p.try_start(job, c));
-  EXPECT_EQ(c.node(NodeId{3}).running_job, job.id);
+  EXPECT_EQ(c.running_job_of(NodeId{3}), job.id);
 }
 
 TEST(Baseline, FailsWhenRequestExceedsEveryNode) {
@@ -169,8 +169,8 @@ TEST(Static, MemoryNodeCannotHost) {
   const auto big = make_job(1, 1, 280 * kGiB);
   EXPECT_TRUE(p.try_start(big, c));
   int hostable = 0;
-  for (const auto& n : c.nodes()) {
-    if (c.can_host(n.id)) ++hostable;
+  for (std::uint32_t i = 0; i < c.node_count(); ++i) {
+    if (c.can_host(NodeId{i})) ++hostable;
   }
   // Another job must fail for lack of hostable nodes or memory.
   const auto next = make_job(2, 3, 1 * kGiB);

@@ -222,10 +222,6 @@ TEST_P(SchedulerFuzzTest, TerminatesConsistently) {
     }
   }
   cluster::Cluster cluster(std::move(cluster_cfg));
-  // Force the column/view parity sweep in every build type (it defaults to
-  // debug builds only): each audit below also cross-checks the materialized
-  // per-node view against the SoA columns.
-  cluster.set_debug_parity(true);
   const auto policy = policy::make_policy(params.policy);
   SchedulerConfig cfg;
   cfg.update_mode = params.mode;

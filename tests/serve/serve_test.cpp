@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -546,6 +547,60 @@ TEST(ServeServer, OverlongLineIsRefusedAndTheNextConnectionAnswered) {
     ::close(fd);
     EXPECT_NE(reply.find("\"status\":\"ok\""), std::string::npos) << reply;
   }
+  server.request_shutdown();
+  listener.join();
+  std::remove(f.snap_path.c_str());
+}
+
+/// This process's virtual size in KiB, read from /proc/self/status.
+[[nodiscard]] long vm_size_kib() {
+  std::ifstream in("/proc/self/status");
+  std::string key;
+  while (in >> key) {
+    if (key == "VmSize:") {
+      long kib = 0;
+      in >> kib;
+      return kib;
+    }
+    std::getline(in, key);
+  }
+  return 0;
+}
+
+// Every accepted connection's thread used to be kept joinable until
+// shutdown, so each finished connection held its stack mapped: a daemon's
+// virtual size grew by a stack per connection it ever served. Finished
+// connections are now joined by the accept loop.
+TEST(ServeServer, FinishedConnectionsAreReaped) {
+  const ServeFixture f = ServeFixture::make("serve_reap.snap");
+  serve::Server server(f.scenario(), serve::ServerOptions{});
+  std::ostringstream log;
+  std::thread listener([&] { server.listen_and_serve(log); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.port() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_NE(server.port(), 0);
+
+  const auto one_query = [&] {
+    const int fd = connect_loopback(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(send_bytes(fd, "{\"op\":\"info\"}\n"));
+    const std::string reply = read_line(fd);
+    ::close(fd);
+    ASSERT_NE(reply.find("\"status\":\"ok\""), std::string::npos) << reply;
+  };
+  for (int i = 0; i < 10; ++i) one_query();  // warm allocator and stack caches
+  const long before = vm_size_kib();
+  ASSERT_GT(before, 0);
+  for (int i = 0; i < 200; ++i) one_query();
+  const long grown = vm_size_kib() - before;
+  // 200 retained stacks of 8 MiB each would add over 1.5 GiB; a handful of
+  // connections still closing when the next one is accepted stay well
+  // under this.
+  EXPECT_LT(grown, 256 * 1024) << "VmSize grew by " << grown << " KiB";
+
   server.request_shutdown();
   listener.join();
   std::remove(f.snap_path.c_str());

@@ -160,7 +160,7 @@ TEST_F(ContentionFixture, SharedLenderRaisesBothSlowdowns) {
   (void)c.grow_local(b, NodeId{1}, 64 * kGiB);
   (void)c.grow_remote(a, NodeId{0}, 10 * kGiB);
   (void)c.grow_remote(b, NodeId{1}, 10 * kGiB);
-  ASSERT_EQ(c.node(NodeId{2}).lent, 20 * kGiB);
+  ASSERT_EQ(c.lent_of(NodeId{2}), 20 * kGiB);
 
   const ContentionModel model(&pool_);
   const std::vector<ContentionModel::JobInput> solo = {{a, 0}};
@@ -238,8 +238,10 @@ TEST_F(ContentionFixture, IncrementalRefreshMatchesFullEvaluateBitwise) {
     const int op = static_cast<int>(rng.uniform_int(0, 4));
     if (op == 0 || current.empty()) {
       std::vector<NodeId> idle;
-      for (const auto& n : c.nodes()) {
-        if (n.idle() && !n.memory_node() && n.free() > 0) idle.push_back(n.id);
+      for (std::uint32_t i = 0; i < c.node_count(); ++i) {
+        if (c.can_host(NodeId{i}) && c.free_of(NodeId{i}) > 0) {
+          idle.push_back(NodeId{i});
+        }
       }
       if (!idle.empty()) {
         const JobId job{next_id++};

@@ -104,7 +104,6 @@ TEST(SnapshotCompat, V2InterleavedClusterSectionRestores) {
   snapshot::Reader r(w.buffer());
   dst.restore_state(r, /*format_version=*/2);
   EXPECT_TRUE(r.at_end());
-  dst.set_debug_parity(true);
   dst.check_invariants();
 
   // Bit-for-bit equivalence with the source ledger: re-saving dst in the
@@ -264,7 +263,6 @@ TEST(SnapshotCompat, V3ColumnarTierlessSectionRestores) {
   snapshot::Reader r(w.buffer());
   dst.restore_state(r, /*format_version=*/3);
   EXPECT_TRUE(r.at_end());
-  dst.set_debug_parity(true);
   dst.check_invariants();
 
   snapshot::Writer from_src;
@@ -378,7 +376,6 @@ TEST(SnapshotCompat, V5RoundTripIsByteIdentical) {
   EXPECT_EQ(header_version(bytes), 5U);
 
   snapshot::restore_bytes(bytes, target.components());
-  target.cluster_->set_debug_parity(true);
   target.cluster_->check_invariants();
   EXPECT_EQ(snapshot::save_bytes(target.components()), bytes);
 }
@@ -423,7 +420,6 @@ TEST(SnapshotCompat, TieredRoundTripIsByteIdentical) {
 
   const std::string bytes = snapshot::save_bytes(source.components());
   snapshot::restore_bytes(bytes, target.components());
-  target.cluster_->set_debug_parity(true);
   target.cluster_->check_invariants();
   EXPECT_EQ(snapshot::save_bytes(target.components()), bytes);
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -146,6 +148,42 @@ TEST(Swf, RoundTripThroughJobSpecs) {
     EXPECT_DOUBLE_EQ(back[i].duration, jobs[i].duration);
     EXPECT_EQ(back[i].requested_mem, jobs[i].requested_mem);
   }
+}
+
+std::string swf_line(const std::string& job, const std::string& procs,
+                     const std::string& mem_kb, const std::string& preceding) {
+  return job + " 0 0 100 " + procs + " -1 -1 " + procs + " 200 " + mem_kb +
+         " 1 -1 -1 -1 -1 -1 " + preceding + " -1\n";
+}
+
+TEST(Swf, RejectsJobNumbersBeyond32Bits) {
+  // Job ids are 32-bit; these used to be truncated to 0 and 1.
+  std::istringstream job(swf_line("4294967296", "32", "1024", "-1"));
+  EXPECT_THROW((void)read_swf(job), TraceError);
+  std::istringstream preceding(swf_line("2", "32", "1024", "4294967297"));
+  EXPECT_THROW((void)read_swf(preceding), TraceError);
+}
+
+TEST(Swf, RejectsIntegerFieldsBeyondTwoToThe53) {
+  std::istringstream in(swf_line("1", "32", "1e30", "-1"));
+  try {
+    (void)read_swf(in);
+    FAIL() << "no error";
+  } catch (const TraceError& e) {
+    EXPECT_NE(std::string(e.what()).find("SWF line 1: field 10"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Swf, FromSwfSaturatesInsteadOfWrapping) {
+  // 2^53 processors used to wrap num_nodes negative, and 2^53 KB per
+  // processor times 2048 cores overflowed the memory product.
+  std::istringstream in(swf_line("1", "9007199254740992", "9007199254740992", "-1"));
+  const Workload jobs = from_swf(read_swf(in), 2048);
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].num_nodes, std::numeric_limits<int>::max());
+  EXPECT_EQ(jobs[0].requested_mem, std::numeric_limits<std::int64_t>::max() / 1024);
 }
 
 }  // namespace

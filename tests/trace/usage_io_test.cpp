@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -156,6 +157,59 @@ TEST(UsageIo, RejectsScalesOutOfRange) {
 TEST(UsageIo, RejectsScalesAfterDataPoints) {
   std::istringstream in("job 1 2\n0 100\nscales 1 0.5\n0.5 50\n");
   EXPECT_THROW(read_usage_traces(in), TraceError);
+}
+
+// Bad input is a TraceError naming its line, never an abort or a
+// header-sized allocation. Returns the error message ("" when none).
+std::string usage_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    (void)read_usage_traces(in);
+  } catch (const TraceError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(UsageIo, RejectsAFirstPointAfterProgressZero) {
+  EXPECT_NE(usage_error("job 1 2\n0.5 100\n0.2 50\n").find("line 2"),
+            std::string::npos);
+}
+
+TEST(UsageIo, RejectsProgressThatDoesNotIncrease) {
+  EXPECT_NE(usage_error("job 1 3\n0 100\n0.5 50\n0.5 60\n").find("line 4"),
+            std::string::npos);
+}
+
+TEST(UsageIo, RejectsProgressBeyondOne) {
+  EXPECT_NE(usage_error("job 1 2\n0 100\n1.5 50\n").find("line 3"),
+            std::string::npos);
+}
+
+TEST(UsageIo, RejectsNegativeMemory) {
+  EXPECT_NE(usage_error("job 1 2\n0 100\n0.5 -1\n").find("line 3"),
+            std::string::npos);
+}
+
+TEST(UsageIo, HugePointCountIsAnErrorNotAnAllocation) {
+  // Neither count is reserved up front: both blocks simply end early.
+  EXPECT_NE(usage_error("job 1 1000000000000\n0 5\n").find("ended early"),
+            std::string::npos);
+  EXPECT_NE(usage_error("job 1 100000000\n0 5\n").find("ended early"),
+            std::string::npos);
+}
+
+TEST(UsageIo, HugeScalesCountIsAnErrorNotAnAllocation) {
+  EXPECT_NE(usage_error("job 1 1\nscales 100000000000 1\n0 5\n").find("line 2"),
+            std::string::npos);
+}
+
+TEST(UsageIo, RejectsJobIdsBeyond32Bits) {
+  EXPECT_NE(usage_error("job 4294967296 1\n0 5\n").find("line 1"),
+            std::string::npos);
+  // The all-ones id is the invalid-job sentinel.
+  EXPECT_NE(usage_error("job 4294967295 1\n0 5\n").find("line 1"),
+            std::string::npos);
 }
 
 }  // namespace
