@@ -43,6 +43,100 @@ struct EventId {
   friend constexpr bool operator==(EventId, EventId) noexcept = default;
 };
 
+namespace detail {
+
+/// One engine queue record: when, schedule order, and the slab slot (with
+/// its generation) the event lives in.
+struct HeapEntry {
+  Seconds time;
+  std::uint64_t seq;  // tie-break: FIFO among equal times
+  std::uint32_t slot;
+  std::uint32_t generation;
+  /// Strict ordering: earlier time first, then schedule order. The key is
+  /// unique (seq is monotonic), so the pop sequence is a total order and
+  /// independent of the heap's internal layout. Branch-free: the sift
+  /// compares are unpredictable.
+  [[nodiscard]] bool before(const HeapEntry& other) const noexcept {
+    const unsigned earlier = time < other.time;
+    const unsigned tied = time == other.time;
+    const unsigned scheduled_first = seq < other.seq;
+    return (earlier | (tied & scheduled_first)) != 0;
+  }
+};
+
+/// 4-ary min-heap over HeapEntry. Shallower than a binary heap and the four
+/// children of a node share a cache line pair, which measurably cuts the
+/// per-event sift cost in the engine's steady-state churn.
+///
+/// Both sifts carry the moving entry in a hole instead of swapping it level
+/// by level. Keys are unique, so each level's smallest child is unique too,
+/// and the array after every push and pop is exactly the swap sift's: the
+/// engine section of a snapshot, which stores this array, does not depend
+/// on which sift built it.
+class EventHeap {
+ public:
+  [[nodiscard]] bool empty() const noexcept { return v_.empty(); }
+  [[nodiscard]] const HeapEntry& top() const noexcept { return v_.front(); }
+
+  void push(HeapEntry e) {
+    std::size_t hole = v_.size();
+    v_.push_back(e);
+    HeapEntry* const v = v_.data();
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / kArity;
+      if (!e.before(v[parent])) break;
+      v[hole] = v[parent];
+      hole = parent;
+    }
+    v[hole] = e;
+  }
+
+  void pop() {
+    const HeapEntry last = v_.back();
+    v_.pop_back();
+    const std::size_t n = v_.size();
+    if (n == 0) return;
+    HeapEntry* const v = v_.data();
+    std::size_t hole = 0;
+    for (;;) {
+      const std::size_t first = hole * kArity + 1;
+      if (first >= n) break;
+      std::size_t best = first;
+      if (first + kArity <= n) {
+        // All four children present: a branch-free tournament.
+        const std::size_t a =
+            first + std::size_t{v[first + 1].before(v[first])};
+        const std::size_t b =
+            first + 2 + std::size_t{v[first + 3].before(v[first + 2])};
+        best = v[b].before(v[a]) ? b : a;
+      } else {
+        for (std::size_t c = first + 1; c < n; ++c) {
+          if (v[c].before(v[best])) best = c;
+        }
+      }
+      if (!v[best].before(last)) break;
+      v[hole] = v[best];
+      hole = best;
+    }
+    v[hole] = last;
+  }
+
+  /// Raw entries in heap-internal order, for slab-order-preserving
+  /// serialization. Re-pushing them in this order is not required for
+  /// correctness (pop order is a total order) but keeps snapshots stable.
+  [[nodiscard]] const std::vector<HeapEntry>& entries() const noexcept {
+    return v_;
+  }
+
+  void clear() noexcept { v_.clear(); }
+
+ private:
+  static constexpr std::size_t kArity = 4;
+  std::vector<HeapEntry> v_;
+};
+
+}  // namespace detail
+
 class Engine : public obs::Clock {
  public:
   /// Capacity covers every closure the scheduler creates; larger captures
@@ -128,71 +222,8 @@ class Engine : public obs::Clock {
   void restore_state(snapshot::Reader& reader);
 
  private:
-  struct Entry {
-    Seconds time;
-    std::uint64_t seq;  // tie-break: FIFO among equal times
-    std::uint32_t slot;
-    std::uint32_t generation;
-    /// Strict ordering: earlier time first, then schedule order. The key is
-    /// unique (seq is monotonic), so the pop sequence is a total order and
-    /// independent of the heap's internal layout.
-    [[nodiscard]] bool before(const Entry& other) const noexcept {
-      if (time != other.time) return time < other.time;
-      return seq < other.seq;
-    }
-  };
-
-  /// 4-ary min-heap over Entry. Shallower than a binary heap and the four
-  /// children of a node share a cache line pair, which measurably cuts the
-  /// per-event sift cost in the engine's steady-state churn.
-  class EventHeap {
-   public:
-    [[nodiscard]] bool empty() const noexcept { return v_.empty(); }
-    [[nodiscard]] const Entry& top() const noexcept { return v_.front(); }
-
-    void push(const Entry& e) {
-      std::size_t i = v_.size();
-      v_.push_back(e);
-      while (i > 0) {
-        const std::size_t parent = (i - 1) / kArity;
-        if (!v_[i].before(v_[parent])) break;
-        std::swap(v_[i], v_[parent]);
-        i = parent;
-      }
-    }
-
-    void pop() {
-      v_.front() = v_.back();
-      v_.pop_back();
-      const std::size_t n = v_.size();
-      std::size_t i = 0;
-      for (;;) {
-        const std::size_t first = i * kArity + 1;
-        if (first >= n) break;
-        std::size_t best = first;
-        const std::size_t last = std::min(first + kArity, n);
-        for (std::size_t c = first + 1; c < last; ++c) {
-          if (v_[c].before(v_[best])) best = c;
-        }
-        if (!v_[best].before(v_[i])) break;
-        std::swap(v_[i], v_[best]);
-        i = best;
-      }
-    }
-
-    /// Raw entries in heap-internal order, for slab-order-preserving
-    /// serialization. Re-pushing them in this order is not required for
-    /// correctness (pop order is a total order) but keeps snapshots stable.
-    [[nodiscard]] const std::vector<Entry>& entries() const noexcept {
-      return v_;
-    }
-
-    void clear() noexcept { v_.clear(); }
-
-   private:
-    static constexpr std::size_t kArity = 4;
-    std::vector<Entry> v_;
-  };
+  using Entry = detail::HeapEntry;
+  using EventHeap = detail::EventHeap;
 
   struct Slot {
     Callback fn;

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "util/error.hpp"
+#include "util/log_feature.hpp"
 
 namespace dmsim::slowdown {
 
@@ -81,25 +82,30 @@ AppPool AppPool::synthetic(const util::Rng& rng, std::size_t count) {
   return AppPool(std::move(apps));
 }
 
+AppPool::AppPool(std::vector<AppProfile> apps) : apps_(std::move(apps)) {
+  log_features_.reserve(apps_.size());
+  for (const AppProfile& app : apps_) {
+    log_features_.push_back(
+        util::log_features(app.typical_nodes, app.typical_runtime_s,
+                           static_cast<double>(app.typical_mem)));
+  }
+}
+
 const AppProfile& AppPool::app(int index) const {
   DMSIM_ASSERT(index >= 0 && static_cast<std::size_t>(index) < apps_.size(),
                "app profile index out of range");
   return apps_[static_cast<std::size_t>(index)];
 }
 
-namespace {
-[[nodiscard]] double log_dist2(double a, double b) noexcept {
-  const double d = std::log(std::max(a, 1e-9)) - std::log(std::max(b, 1e-9));
-  return d * d;
-}
-}  // namespace
-
 int AppPool::match(double nodes, double runtime_s) const noexcept {
+  const double log_nodes = util::log_feature(nodes);
+  const double log_runtime = util::log_feature(runtime_s);
   int best = -1;
   double best_d = 0.0;
-  for (std::size_t i = 0; i < apps_.size(); ++i) {
-    const double d = log_dist2(nodes, apps_[i].typical_nodes) +
-                     log_dist2(runtime_s, apps_[i].typical_runtime_s);
+  for (std::size_t i = 0; i < log_features_.size(); ++i) {
+    const double a = log_nodes - log_features_[i][0];
+    const double b = log_runtime - log_features_[i][1];
+    const double d = a * a + b * b;
     if (best < 0 || d < best_d) {
       best = static_cast<int>(i);
       best_d = d;
@@ -109,14 +115,16 @@ int AppPool::match(double nodes, double runtime_s) const noexcept {
 }
 
 int AppPool::match(double nodes, double runtime_s, MiB mem) const noexcept {
+  const std::array<double, 3> q =
+      util::log_features(nodes, runtime_s, static_cast<double>(mem));
   int best = -1;
   double best_d = 0.0;
-  for (std::size_t i = 0; i < apps_.size(); ++i) {
-    const double d =
-        log_dist2(nodes, apps_[i].typical_nodes) +
-        log_dist2(runtime_s, apps_[i].typical_runtime_s) +
-        log_dist2(static_cast<double>(mem),
-                  static_cast<double>(apps_[i].typical_mem));
+  for (std::size_t i = 0; i < log_features_.size(); ++i) {
+    const std::array<double, 3>& f = log_features_[i];
+    const double a = q[0] - f[0];
+    const double b = q[1] - f[1];
+    const double c = q[2] - f[2];
+    const double d = a * a + b * b + c * c;
     if (best < 0 || d < best_d) {
       best = static_cast<int>(i);
       best_d = d;

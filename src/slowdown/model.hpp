@@ -22,6 +22,7 @@
 // 1-20 GB/s/node).
 #pragma once
 
+#include <array>
 #include <functional>
 #include <limits>
 #include <span>
@@ -79,7 +80,7 @@ struct AppProfile {
 class AppPool {
  public:
   AppPool() = default;
-  explicit AppPool(std::vector<AppProfile> apps) : apps_(std::move(apps)) {}
+  explicit AppPool(std::vector<AppProfile> apps);
 
   /// Deterministically generate `count` profiles spanning the published
   /// parameter ranges. Same rng seed => same pool.
@@ -100,6 +101,8 @@ class AppPool {
 
  private:
   std::vector<AppProfile> apps_;
+  /// util::log_features of each app, for match.
+  std::vector<std::array<double, 3>> log_features_;
 };
 
 /// Computes per-job slowdowns from the cluster's borrow ledger.

@@ -8,7 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <future>
 #include <limits>
 #include <optional>
 #include <span>
@@ -283,42 +283,65 @@ std::string save_bytes(const Components& components) {
   return save_bytes(components, config_fingerprint(components));
 }
 
-std::string save_bytes(const Components& components,
-                       std::uint64_t fingerprint) {
+namespace {
+
+constexpr std::uint32_t kSectionCount = 5;
+
+/// A serialised snapshot before its checksums: header and payload sections
+/// in one buffer, with the payload-size field still zero. Everything in it
+/// is fixed once serialise() returns, so seal() may run on another thread.
+struct Unsealed {
+  std::string bytes;
+  std::size_t size_field = 0;
+  /// Section i spans [bounds[i], bounds[i + 1]); the last one ends with the
+  /// end tag.
+  std::array<std::size_t, kSectionCount + 1> bounds{};
+};
+
+/// The simulation-thread half of a save: header and every section, written
+/// into `buffer` (cleared first; its capacity is reused).
+[[nodiscard]] Unsealed serialise(const Components& components,
+                                 std::uint64_t fingerprint,
+                                 std::string buffer) {
   check_components(components);
-  // Header, payload and trailer share one buffer, so the payload is never
-  // copied. The payload-size field is written as zero and patched at the
-  // end; no checksum covers it.
-  Writer out;
+  buffer.clear();
+  Writer out(std::move(buffer));
   for (const char c : detail::kMagic) out.u8(static_cast<std::uint8_t>(c));
   out.u32(kVersion);
   out.u64(fingerprint);
-  const std::size_t size_field = out.buffer().size();
+  Unsealed u;
+  u.size_field = out.buffer().size();
   out.u64(0);
   // Section boundaries, recorded as each component writes so the trailer
-  // can index the payload without re-parsing it: section i spans
-  // [bounds[i], bounds[i + 1]), and the last one ends with the end tag.
-  constexpr std::uint32_t kSectionCount = 5;
-  std::array<std::size_t, kSectionCount + 1> bounds{};
-  bounds[0] = out.buffer().size();
+  // can index the payload without re-parsing it.
+  u.bounds[0] = out.buffer().size();
   components.engine->save_state(out);
-  bounds[1] = out.buffer().size();
+  u.bounds[1] = out.buffer().size();
   components.cluster->save_state(out);
-  bounds[2] = out.buffer().size();
+  u.bounds[2] = out.buffer().size();
   components.scheduler->save_state(out);
-  bounds[3] = out.buffer().size();
+  u.bounds[3] = out.buffer().size();
   detail::save_counters_section(out, components.counters);
-  bounds[4] = out.buffer().size();
+  u.bounds[4] = out.buffer().size();
   out.section(detail::kEndSection);
-  bounds[5] = out.buffer().size();
+  u.bounds[5] = out.buffer().size();
+  u.bytes = out.take();
+  return u;
+}
 
+/// Append the payload checksum and the section-table trailer, and patch the
+/// payload-size field: turns serialise() output into save_bytes() output.
+/// Header, payload and trailer share one buffer, so the payload is never
+/// copied.
+[[nodiscard]] std::string seal(Unsealed u) {
+  const std::array<std::size_t, kSectionCount + 1>& bounds = u.bounds;
   // One pass over the payload feeds two independent FNV-1a chains, the
   // whole-payload checksum and the current section's: the same values as
   // hashing the payload and then each section separately.
   std::uint64_t payload_checksum = util::kFnv1aBasis;
   std::array<std::uint64_t, kSectionCount> section_checksums{};
   std::array<std::uint32_t, kSectionCount> tags{};
-  const char* const data = out.buffer().data();
+  const char* const data = u.bytes.data();
   for (std::uint32_t i = 0; i < kSectionCount; ++i) {
     tags[i] = detail::le<std::uint32_t>::load(data + bounds[i]);
     std::uint64_t section_checksum = util::kFnv1aBasis;
@@ -329,6 +352,7 @@ std::string save_bytes(const Components& components,
     section_checksums[i] = section_checksum;
   }
 
+  Writer out(std::move(u.bytes));
   out.u64(payload_checksum);
   // Section table: self-checksummed trailer AFTER the payload checksum (see
   // detail::kTocSection). Readers that predate it stop at the checksum.
@@ -346,29 +370,16 @@ std::string save_bytes(const Components& components,
   out.u64(util::fnv1a(std::string_view(out.buffer()).substr(trailer)));
 
   std::string bytes = out.take();
-  detail::le<std::uint64_t>::store(bytes.data() + size_field,
+  detail::le<std::uint64_t>::store(bytes.data() + u.size_field,
                                    bounds[kSectionCount] - bounds[0]);
   return bytes;
 }
 
-void restore_bytes(std::string_view bytes, const Components& components) {
-  check_components(components);
-  Image::from_bytes(std::string(bytes))->materialize(components);
-}
-
-void save_file(const std::string& path, const Components& components,
-               Stats* stats) {
-  save_file(path, components, fingerprint_for_save(components, stats), stats);
-}
-
-void save_file(const std::string& path, const Components& components,
-               std::uint64_t fingerprint, Stats* stats) {
-  const auto start = std::chrono::steady_clock::now();
-  const std::string bytes = save_bytes(components, fingerprint);
-  // Write-then-rename so an interrupted save never clobbers the previous
-  // (complete) snapshot with a truncated one. The temp file is fsynced
-  // before the rename and the directory after it — otherwise a crash right
-  // after "success" can surface a renamed-but-unwritten (truncated) file.
+/// Write-then-rename so an interrupted save never clobbers the previous
+/// (complete) snapshot with a truncated one. The temp file is fsynced
+/// before the rename and the directory after it — otherwise a crash right
+/// after "success" can surface a renamed-but-unwritten (truncated) file.
+void write_file(const std::string& path, std::string_view bytes) {
   const std::string tmp = path + ".tmp";
   {
     const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -410,30 +421,96 @@ void save_file(const std::string& path, const Components& components,
       ::close(dfd);
     }
   }
-  if (stats != nullptr) {
-    ++stats->saves;
-    stats->bytes_written += bytes.size();
-    const double elapsed = elapsed_since(start);
-    stats->save_seconds += elapsed;
-    if (bytes.size() > stats->max_save_bytes) {
-      stats->max_save_bytes = bytes.size();
-    }
-    if (elapsed > stats->max_save_seconds) stats->max_save_seconds = elapsed;
+}
+
+/// Count one completed save of `bytes` bytes that cost the simulation
+/// thread `seconds`.
+void count_save(Stats* stats, std::size_t bytes, double seconds) {
+  if (stats == nullptr) return;
+  ++stats->saves;
+  stats->bytes_written += bytes;
+  stats->save_seconds += seconds;
+  stats->max_save_bytes = std::max<std::uint64_t>(stats->max_save_bytes, bytes);
+  stats->max_save_seconds = std::max(stats->max_save_seconds, seconds);
+}
+
+/// The background half of run_with_checkpoints' saves: seal, write, both
+/// fsyncs and the rename of at most one snapshot at a time, while the
+/// simulation runs on. join() waits for the in-flight save, counts it in
+/// `stats` and rethrows its SnapshotError. The destructor only waits: a run
+/// that leaves by exception never leaves a write running behind it, and the
+/// destructor never throws. A write error met there is not reported; the
+/// exception already leaving the run is, and the failed save is not counted.
+class WriteBehind {
+ public:
+  explicit WriteBehind(Stats* stats) : stats_(stats) {}
+  WriteBehind(const WriteBehind&) = delete;
+  WriteBehind& operator=(const WriteBehind&) = delete;
+  ~WriteBehind() {
+    if (pending_.valid()) pending_.wait();
   }
+
+  /// Wait for the in-flight save, if any, and count it in `stats` if its
+  /// write succeeded. Its simulation-thread cost is its serialisation plus
+  /// this wait. Returns its buffer for reuse.
+  std::string join() {
+    if (!pending_.valid()) return {};
+    const auto start = std::chrono::steady_clock::now();
+    std::string buffer = pending_.get();  // rethrows the writer's error
+    count_save(stats_, buffer.size(),
+               in_flight_seconds_ + elapsed_since(start));
+    return buffer;
+  }
+
+  /// Hand a serialised snapshot to the writer. The previous save must have
+  /// been joined. `seconds` is what serialising it cost the caller.
+  void start(std::string path, Unsealed unsealed, double seconds) {
+    DMSIM_ASSERT(!pending_.valid(), "join the previous snapshot write first");
+    in_flight_seconds_ = seconds;
+    pending_ = std::async(std::launch::async,
+                          [path = std::move(path),
+                           u = std::move(unsealed)]() mutable {
+                            std::string bytes = seal(std::move(u));
+                            write_file(path, bytes);
+                            return bytes;
+                          });
+  }
+
+ private:
+  Stats* stats_;
+  std::future<std::string> pending_;
+  double in_flight_seconds_ = 0.0;
+};
+
+}  // namespace
+
+std::string save_bytes(const Components& components,
+                       std::uint64_t fingerprint) {
+  return seal(serialise(components, fingerprint, {}));
+}
+
+void restore_bytes(std::string_view bytes, const Components& components) {
+  check_components(components);
+  Image::from_bytes(std::string(bytes))->materialize(components);
+}
+
+void save_file(const std::string& path, const Components& components,
+               Stats* stats) {
+  save_file(path, components, fingerprint_for_save(components, stats), stats);
+}
+
+void save_file(const std::string& path, const Components& components,
+               std::uint64_t fingerprint, Stats* stats) {
+  const auto start = std::chrono::steady_clock::now();
+  const std::string bytes = save_bytes(components, fingerprint);
+  write_file(path, bytes);
+  count_save(stats, bytes.size(), elapsed_since(start));
 }
 
 void restore_file(const std::string& path, const Components& components,
                   Stats* stats) {
   const auto start = std::chrono::steady_clock::now();
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw SnapshotError("snapshot: cannot open '" + path + "' for reading");
-  }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw SnapshotError("snapshot: read error on '" + path + "'");
-  }
+  std::string bytes = detail::read_file(path);
   const std::size_t total_bytes = bytes.size();
   try {
     check_components(components);
@@ -471,11 +548,15 @@ void run_with_checkpoints(const Components& components, const Plan& plan,
     periodic =
         (std::floor(components.engine->now() / plan.every) + 1.0) * plan.every;
   }
+  // Each save joins the previous one before serialising, so saves to one
+  // path land in order, and reuses its buffer. Every return joins the last.
+  WriteBehind writer(stats);
   for (;;) {
     const Seconds next_cut = ci < cuts.size() ? cuts[ci] : kInf;
     const Seconds target = std::min(next_cut, periodic);
     if (!std::isfinite(target)) {
       components.scheduler->run_ready(kInf);
+      writer.join();
       return;
     }
     // run_ready leaves the clock at the last fired event (<= target), which
@@ -484,9 +565,15 @@ void run_with_checkpoints(const Components& components, const Plan& plan,
     components.scheduler->run_ready(target);
     if (next_cut <= target) ++ci;
     while (periodic <= target) periodic += plan.every;
-    if (components.engine->empty()) return;  // drained: nothing to resume
+    if (components.engine->empty()) {  // drained: nothing to resume
+      writer.join();
+      return;
+    }
     if (!fingerprint) fingerprint = fingerprint_for_save(components, stats);
-    save_file(plan.path, components, *fingerprint, stats);
+    std::string buffer = writer.join();
+    const auto start = std::chrono::steady_clock::now();
+    Unsealed unsealed = serialise(components, *fingerprint, std::move(buffer));
+    writer.start(plan.path, std::move(unsealed), elapsed_since(start));
   }
 }
 

@@ -75,6 +75,11 @@ struct Components {
 /// result document, and a restored run performs a different number of
 /// checkpoint operations than the uninterrupted run it must match byte for
 /// byte.
+///
+/// A save is counted once its file is written (for run_with_checkpoints, at
+/// the join that collects it), so a failed write is never counted.
+/// save_seconds is the time saves cost the calling thread: serialisation,
+/// the fingerprint hash, and any wait for the background writer.
 struct Stats {
   std::uint64_t saves = 0;
   std::uint64_t restores = 0;
@@ -153,6 +158,13 @@ void restore_file(const std::string& path, const Components& components,
 /// skipped, as is a save after the engine drains (there is nothing left to
 /// resume). The config fingerprint is computed once, at the first save.
 /// The caller must still call scheduler->finalize() afterwards.
+///
+/// Saves are write-behind: at a cut the calling thread only serialises the
+/// state; one background writer checksums, writes, fsyncs and renames it
+/// while the run goes on. Each save joins the previous write first, and so
+/// does the return, so every file is complete and in place when this
+/// returns, byte-identical to save_file's at the same cut. A write error is
+/// thrown as SnapshotError from the next join.
 void run_with_checkpoints(const Components& components, const Plan& plan,
                           Stats* stats = nullptr);
 

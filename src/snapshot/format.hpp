@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "snapshot/snapshot.hpp"
@@ -30,6 +31,10 @@ inline constexpr std::uint32_t kEndSection = section_tag('E', 'N', 'D', '.');
 /// tell a valid trailer from trailing garbage. Living outside the payload
 /// keeps the format version at 5 and every pre-trailer file readable.
 inline constexpr std::uint32_t kTocSection = section_tag('T', 'O', 'C', '.');
+
+/// A snapshot file's bytes, read with one sized read. Throws SnapshotError
+/// ("cannot open" / "read error") naming `path`.
+[[nodiscard]] std::string read_file(const std::string& path);
 
 /// Counters-registry section codec (section kCountersSection). Defined in
 /// checkpoint.cpp; image.cpp reuses it for Image::materialize.

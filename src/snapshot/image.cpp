@@ -1,7 +1,10 @@
 #include "snapshot/image.hpp"
 
-#include <fstream>
-#include <iterator>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 
 #include "cluster/cluster.hpp"
 #include "sched/scheduler.hpp"
@@ -27,16 +30,39 @@ namespace {
 
 }  // namespace
 
-std::shared_ptr<const Image> Image::open(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+std::string detail::read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
     throw SnapshotError("snapshot: cannot open '" + path + "' for reading");
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (in.bad()) {
-    throw SnapshotError("snapshot: read error on '" + path + "'");
+  struct stat st {};
+  const std::size_t size =
+      ::fstat(fd, &st) == 0 && st.st_size > 0
+          ? static_cast<std::size_t>(st.st_size)
+          : 0;
+  // One spare byte lets the read that sees end-of-file land without growing
+  // the string; a file that grows meanwhile (or reports no size) still
+  // reads whole.
+  std::string bytes(size + 1, '\0');
+  std::size_t got = 0;
+  for (;;) {
+    if (got == bytes.size()) bytes.resize(2 * bytes.size());
+    const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      ::close(fd);
+      throw SnapshotError("snapshot: read error on '" + path + "'");
+    }
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
   }
+  ::close(fd);
+  bytes.resize(got);
+  return bytes;
+}
+
+std::shared_ptr<const Image> Image::open(const std::string& path) {
+  std::string bytes = detail::read_file(path);
   try {
     return from_bytes(std::move(bytes));
   } catch (const SnapshotError& e) {

@@ -30,6 +30,7 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -87,6 +88,10 @@ struct le {
 /// Append-only little-endian byte builder.
 class Writer {
  public:
+  Writer() = default;
+  /// Append to `buffer`'s bytes, reusing its capacity.
+  explicit Writer(std::string buffer) noexcept : buf_(std::move(buffer)) {}
+
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
 
   void u32(std::uint32_t v) { put(v); }

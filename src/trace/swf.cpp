@@ -16,6 +16,10 @@ namespace {
 
 constexpr int kSwfFieldCount = 18;
 constexpr double kMaxSwfInteger = 9007199254740992.0;  // 2^53
+/// Longest run, wait, requested or think time accepted, in seconds (~31.7
+/// years; serve caps job times at the same value). Simulating past it is
+/// not slow but endless: the engine clock stalls on an unbounded run.
+constexpr double kMaxSwfSeconds = 1.0e9;
 
 [[nodiscard]] std::string strip(const std::string& s) {
   const auto first = s.find_first_not_of(" \t\r\n");
@@ -57,15 +61,24 @@ SwfTrace read_swf(std::istream& in) {
       }
       return static_cast<std::int64_t>(std::llround(v[i]));
     };
+    // SWF writes -1 for unknown, so only the upper end is capped.
+    const auto as_seconds = [&](int i) {
+      if (!std::isfinite(v[i]) || v[i] > kMaxSwfSeconds) {
+        throw error("field " + std::to_string(i + 1) + " exceeds " +
+                    std::to_string(static_cast<long long>(kMaxSwfSeconds)) +
+                    " s");
+      }
+      return v[i];
+    };
     r.job_number = as_int(0);
     r.submit_time = v[1];
-    r.wait_time = v[2];
-    r.run_time = v[3];
+    r.wait_time = as_seconds(2);
+    r.run_time = as_seconds(3);
     r.allocated_procs = as_int(4);
     r.avg_cpu_time = v[5];
     r.used_memory_kb = as_int(6);
     r.requested_procs = as_int(7);
-    r.requested_time = v[8];
+    r.requested_time = as_seconds(8);
     r.requested_memory_kb = as_int(9);
     r.status = as_int(10);
     r.user_id = as_int(11);
@@ -74,7 +87,7 @@ SwfTrace read_swf(std::istream& in) {
     r.queue = as_int(14);
     r.partition = as_int(15);
     r.preceding_job = as_int(16);
-    r.think_time = v[17];
+    r.think_time = as_seconds(17);
     // Job ids are 32-bit; a wider number would be silently truncated.
     if (r.job_number >= std::int64_t{JobId::kInvalid} ||
         r.preceding_job >= std::int64_t{JobId::kInvalid}) {

@@ -5,15 +5,11 @@
 #include <limits>
 
 #include "util/error.hpp"
+#include "util/log_feature.hpp"
 
 namespace dmsim::workload {
 
 namespace {
-
-[[nodiscard]] double log_dist2(double a, double b) noexcept {
-  const double d = std::log(std::max(a, 1e-9)) - std::log(std::max(b, 1e-9));
-  return d * d;
-}
 
 /// Build one normalized multi-phase shape out of `windows` 5-minute samples.
 [[nodiscard]] trace::UsageTrace make_shape(util::Rng& rng, int windows) {
@@ -90,6 +86,16 @@ GoogleUsageLibrary GoogleUsageLibrary::synthetic(const util::Rng& rng,
   return GoogleUsageLibrary(std::move(shapes));
 }
 
+GoogleUsageLibrary::GoogleUsageLibrary(std::vector<UsageShape> shapes)
+    : shapes_(std::move(shapes)) {
+  log_features_.reserve(shapes_.size());
+  for (const UsageShape& s : shapes_) {
+    log_features_.push_back(
+        util::log_features(s.typical_nodes, s.typical_runtime_s,
+                           static_cast<double>(s.typical_mem)));
+  }
+}
+
 const UsageShape& GoogleUsageLibrary::shape(std::size_t index) const {
   DMSIM_ASSERT(index < shapes_.size(), "usage shape index out of range");
   return shapes_[index];
@@ -98,14 +104,16 @@ const UsageShape& GoogleUsageLibrary::shape(std::size_t index) const {
 std::size_t GoogleUsageLibrary::match(double nodes, double runtime_s,
                                       MiB mem) const {
   DMSIM_ASSERT(!shapes_.empty(), "matching against an empty usage library");
+  const std::array<double, 3> q =
+      util::log_features(nodes, runtime_s, static_cast<double>(mem));
   std::size_t best = 0;
   double best_d = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < shapes_.size(); ++i) {
-    const UsageShape& s = shapes_[i];
-    const double d = log_dist2(nodes, s.typical_nodes) +
-                     log_dist2(runtime_s, s.typical_runtime_s) +
-                     log_dist2(static_cast<double>(mem),
-                               static_cast<double>(s.typical_mem));
+  for (std::size_t i = 0; i < log_features_.size(); ++i) {
+    const std::array<double, 3>& f = log_features_[i];
+    const double a = q[0] - f[0];
+    const double b = q[1] - f[1];
+    const double c = q[2] - f[2];
+    const double d = a * a + b * b + c * c;
     if (d < best_d) {
       best_d = d;
       best = i;

@@ -17,6 +17,7 @@
 // to map a synthetic job onto a Google job.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -43,8 +44,7 @@ class GoogleUsageLibrary {
   static constexpr MiB kShapeScale = 1 << 16;
 
   GoogleUsageLibrary() = default;
-  explicit GoogleUsageLibrary(std::vector<UsageShape> shapes)
-      : shapes_(std::move(shapes)) {}
+  explicit GoogleUsageLibrary(std::vector<UsageShape> shapes);
 
   /// Deterministically synthesize a library of `count` shapes.
   [[nodiscard]] static GoogleUsageLibrary synthetic(const util::Rng& rng,
@@ -65,6 +65,8 @@ class GoogleUsageLibrary {
 
  private:
   std::vector<UsageShape> shapes_;
+  /// util::log_features of each shape, for match.
+  std::vector<std::array<double, 3>> log_features_;
 };
 
 }  // namespace dmsim::workload

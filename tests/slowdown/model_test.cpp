@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -104,6 +106,47 @@ TEST(AppPool, MatchWithMemoryBreaksTies) {
   const AppPool pool(std::move(apps));
   EXPECT_EQ(pool.match(4, 1000, 2048), 0);
   EXPECT_EQ(pool.match(4, 1000, 50 * kGiB), 1);
+}
+
+// Both match overloads read the constructor's cached log features; each
+// must pick exactly what taking both logs per app picks, floor included.
+TEST(AppPool, CachedLogMatchEqualsBruteForce) {
+  const AppPool pool = AppPool::synthetic(util::Rng(5), 64);
+  const auto log_dist2 = [](double a, double b) {
+    const double d =
+        std::log(std::max(a, 1e-9)) - std::log(std::max(b, 1e-9));
+    return d * d;
+  };
+  util::Rng rng(11);
+  for (int q = 0; q < 2000; ++q) {
+    const bool edge = q % 7 == 0;
+    const double nodes = edge ? rng.uniform(-2.0, 1e-9)
+                              : std::pow(2.0, rng.uniform(0.0, 10.0));
+    const double runtime =
+        edge && q % 2 == 0 ? 0.0 : std::exp(rng.uniform(0.0, 14.0));
+    const MiB mem = edge ? rng.uniform_int(-1, 1) : rng.uniform_int(1, 1 << 18);
+    int want2 = -1;
+    int want3 = -1;
+    double best2 = 0.0;
+    double best3 = 0.0;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const AppProfile& app = pool.app(static_cast<int>(i));
+      const double d2 = log_dist2(nodes, app.typical_nodes) +
+                        log_dist2(runtime, app.typical_runtime_s);
+      const double d3 = d2 + log_dist2(static_cast<double>(mem),
+                                       static_cast<double>(app.typical_mem));
+      if (want2 < 0 || d2 < best2) {
+        want2 = static_cast<int>(i);
+        best2 = d2;
+      }
+      if (want3 < 0 || d3 < best3) {
+        want3 = static_cast<int>(i);
+        best3 = d3;
+      }
+    }
+    ASSERT_EQ(pool.match(nodes, runtime), want2) << "query " << q;
+    ASSERT_EQ(pool.match(nodes, runtime, mem), want3) << "query " << q;
+  }
 }
 
 TEST(AppPool, MatchOnEmptyPoolReturnsMinusOne) {

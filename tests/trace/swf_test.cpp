@@ -176,6 +176,40 @@ TEST(Swf, RejectsIntegerFieldsBeyondTwoToThe53) {
   }
 }
 
+// A 1e300 s run time parsed fine and then stalled the simulation until it
+// was killed. Each time field is capped at 1e9 s when the line is read, so
+// no simulation ever sees it.
+TEST(Swf, RejectsTimesBeyondOneBillionSeconds) {
+  // Fields 3, 4, 9 and 18: wait, run, requested and think time.
+  const char* const lines[] = {
+      "1 0 1e300 100 32 -1 -1 32 200 1024 1 -1 -1 -1 -1 -1 -1 -1",
+      "1 0 0 1e300 32 -1 -1 32 200 1024 1 -1 -1 -1 -1 -1 -1 -1",
+      "1 0 0 100 32 -1 -1 32 1e300 1024 1 -1 -1 -1 -1 -1 -1 -1",
+      "1 0 0 100 32 -1 -1 32 200 1024 1 -1 -1 -1 -1 -1 0 1e300",
+      "1 0 0 1000000001 32 -1 -1 32 200 1024 1 -1 -1 -1 -1 -1 -1 -1",
+  };
+  const char* const fields[] = {"field 3", "field 4", "field 9", "field 18",
+                                "field 4"};
+  for (std::size_t i = 0; i < std::size(lines); ++i) {
+    std::istringstream in(std::string("; header\n") + lines[i] + "\n");
+    try {
+      (void)read_swf(in);
+      ADD_FAILURE() << "no error for: " << lines[i];
+    } catch (const TraceError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("SWF line 2: ") +
+                                           fields[i]),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The cap itself and SWF's -1 "unknown" still parse.
+  std::istringstream ok(
+      "1 0 -1 1000000000 32 -1 -1 32 1e9 1024 1 -1 -1 -1 -1 -1 -1 -1\n");
+  const SwfTrace trace = read_swf(ok);
+  ASSERT_EQ(trace.records.size(), 1U);
+  EXPECT_EQ(trace.records[0].run_time, 1e9);
+}
+
 TEST(Swf, FromSwfSaturatesInsteadOfWrapping) {
   // 2^53 processors used to wrap num_nodes negative, and 2^53 KB per
   // processor times 2048 cores overflowed the memory product.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "util/rng.hpp"
 
 namespace dmsim::workload {
@@ -62,6 +66,44 @@ TEST(GoogleUsage, MatchPrefersSimilarJobs) {
   EXPECT_LT(s.typical_runtime_s, 4.0 * 3600.0);
   const std::size_t big = lib.match(128, 100000.0, 100000);
   EXPECT_NE(small, big);
+}
+
+// match reads each shape's log features from the constructor's cache; it
+// must pick exactly what taking both logs per shape picks, floor included.
+TEST(GoogleUsage, CachedLogMatchEqualsBruteForce) {
+  const auto lib = library(256);
+  const auto log_dist2 = [](double a, double b) {
+    const double d =
+        std::log(std::max(a, 1e-9)) - std::log(std::max(b, 1e-9));
+    return d * d;
+  };
+  util::Rng rng(7);
+  for (int q = 0; q < 4000; ++q) {
+    // Every seventh query probes the 1e-9 floor with zero, tiny or negative
+    // features; the rest span the library's ranges and beyond.
+    const bool edge = q % 7 == 0;
+    const double nodes = edge ? rng.uniform(-2.0, 1e-9)
+                              : std::pow(2.0, rng.uniform(0.0, 12.0));
+    const double runtime =
+        edge && q % 2 == 0 ? 0.0 : std::exp(rng.uniform(0.0, 14.0));
+    const MiB mem =
+        edge ? rng.uniform_int(-1, 1) : rng.uniform_int(1, 1 << 20);
+    std::size_t want = 0;
+    double best = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < lib.size(); ++i) {
+      const UsageShape& s = lib.shape(i);
+      const double d = log_dist2(nodes, s.typical_nodes) +
+                       log_dist2(runtime, s.typical_runtime_s) +
+                       log_dist2(static_cast<double>(mem),
+                                 static_cast<double>(s.typical_mem));
+      if (d < best) {
+        best = d;
+        want = i;
+      }
+    }
+    ASSERT_EQ(lib.match(nodes, runtime, mem), want)
+        << "nodes=" << nodes << " runtime=" << runtime << " mem=" << mem;
+  }
 }
 
 TEST(GoogleUsage, InstantiateScalesToPeak) {
