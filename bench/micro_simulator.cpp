@@ -404,19 +404,22 @@ BENCHMARK(BM_SnapshotSave)->Arg(20000)->Unit(benchmark::kMillisecond);
 // the cost of the three operations the incremental cluster indexes rewrote:
 // Static host selection (BM_TryStart), bringing slowdowns current after one
 // ledger perturbation (BM_RefreshSlowdowns), and remote growth through the
-// ordered-lender index (BM_GrowRemote). BM_RefreshSlowdownsLegacy times the
+// lender tree (BM_GrowRemote). BM_RefreshSlowdownsLegacy times the
 // full two-pass model evaluation the incremental refresh replaced, so that
 // speedup is measurable from a single run.
 
 constexpr int kScNormal = 1024;
 constexpr int kScLarge = 466;
 
-// A 1490-node cluster in steady state: three of every five nodes host a
-// one-node job with varied local fill (spreading the free-memory levels the
-// indexes have to order) and every third job borrows remote memory.
-cluster::Cluster busy_sc_cluster(std::vector<std::uint32_t>* running_out) {
-  cluster::Cluster c(cluster::make_cluster_config(kScNormal, 64 * kGiB,
-                                                  kScLarge, 128 * kGiB));
+// A 1490-node cluster (or `nodes` in the same normal/large mix) in steady
+// state: three of every five nodes host a one-node job with varied local
+// fill (spreading the free-memory levels the indexes have to order) and
+// every third job borrows remote memory.
+cluster::Cluster busy_sc_cluster(std::vector<std::uint32_t>* running_out,
+                                 int nodes = kScNormal + kScLarge) {
+  const int large = nodes * kScLarge / (kScNormal + kScLarge);
+  cluster::Cluster c(cluster::make_cluster_config(nodes - large, 64 * kGiB,
+                                                  large, 128 * kGiB));
   std::uint32_t id = 1;
   for (std::size_t i = 0; i < c.node_count(); ++i) {
     if (i % 5 >= 3) continue;  // leave 40% of nodes idle
@@ -532,10 +535,11 @@ void BM_CheckInvariants(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckInvariants);
 
-// Remote growth on the busy 1490-node cluster: every grow walks the ordered
-// lender view (an index traversal now, a full scan + sort before).
+// Remote growth on the busy cluster at 1490 and 100k nodes: every grow
+// syncs the lender tree's stale leaves and reads lenders off its root.
 void BM_GrowRemote(benchmark::State& state) {
-  cluster::Cluster c = busy_sc_cluster(nullptr);
+  cluster::Cluster c =
+      busy_sc_cluster(nullptr, static_cast<int>(state.range(0)));
   const JobId job{900001};
   const NodeId host{3};  // idle in the busy layout (3 % 5 == 3)
   c.assign_job(job, std::vector<NodeId>{host});
@@ -545,7 +549,7 @@ void BM_GrowRemote(benchmark::State& state) {
     benchmark::DoNotOptimize(c.shrink_remote(job, host, 64 * kGiB));
   }
 }
-BENCHMARK(BM_GrowRemote);
+BENCHMARK(BM_GrowRemote)->Arg(kScNormal + kScLarge)->Arg(100000);
 
 // One staggered Monitor update at Grizzly scale: 48 Dynamic jobs of 30
 // hosts each (~29 hosts per job, as in the exa-Grizzly weeks) fill 1440 of
@@ -618,7 +622,7 @@ BENCHMARK(BM_MonitorUpdate)->Arg(0)->Arg(1);
 // One Monitor resize in isolation: a grow_local + shrink_local pair on a busy
 // host of an N-node Cell's ledger (the sc mix of normal and large nodes).
 // Three of every five nodes run a one-node job at a varied local fill, so
-// the lender index holds ~N distinct keys, and nothing is lent — the state
+// the lender tree holds ~N distinct keys, and nothing is lent — the state
 // of a Dynamic week at its utilization floor. The pair's cost is the
 // ledger's own upkeep per resize; the hosts rotate so no cache stays warm
 // on one node.

@@ -80,12 +80,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     rack_.push_back(nc.rack);
     total_capacity_ += nc.capacity;
   }
-  if (tiered()) {
-    tier_free_index_.resize(tiers_.size());
-    tier_mem_free_index_.resize(tiers_.size());
-    tier_free_mib_.assign(tiers_.size(), 0);
-    tier_lent_mib_.assign(tiers_.size(), 0);
-  }
   running_job_.assign(n, kIdle);
   local_used_.assign(n, 0);
   lent_.assign(n, 0);
@@ -217,6 +211,21 @@ void Cluster::rekey(FreeIndex& index, bool had, bool has, FreeKey old_key,
   }
 }
 
+MiB Cluster::lender_rank(MiB free, bool mem) const noexcept {
+  if (free <= 0) return LenderKey::kNoLender;
+  switch (config_.lender_policy) {
+    case LenderPolicy::MostFree:
+      return free;
+    case LenderPolicy::LeastFree:
+      return -free;
+    case LenderPolicy::MemoryNodesFirst:
+      break;
+  }
+  // Capacities are far below 2^62 MiB, so the memory-node bit never
+  // collides with a free value.
+  return mem ? free + (MiB{1} << 62) : free;
+}
+
 void Cluster::reindex_node(std::uint32_t i) {
   // The old host-index key is the free_ column entry (what the node was
   // last indexed under); the new one is re-derived from the occupancy
@@ -231,97 +240,79 @@ void Cluster::reindex_node(std::uint32_t i) {
   if (tiered()) tier_free_mib_[tier_[i]] += free - old_free;
   free_[i] = free;
   mem_node_[i] = mem ? 1 : 0;
-  std::uint8_t bits = static_cast<std::uint8_t>((old_bits & ~kInHost) |
-                                                (host ? kInHost : 0));
-  // The lender indexes only learn that the node moved; the re-key waits for
-  // the next lender pick (sync_lender_indexes).
-  if ((bits & kStale) == 0 &&
-      (lend_key_[i] != free || (bits & kLenderBits) != lender_bits(free, mem))) {
-    bits |= kStale;
-    stale_lenders_.push_back(i);
-  }
-  index_bits_[i] = bits;
+  // The lender tree only learns that the node moved; its leaf is rewritten
+  // at the next lender pick (sync_lender_indexes).
+  if ((old_bits & kStale) == 0) stale_lenders_.push_back(i);
+  index_bits_[i] = static_cast<std::uint8_t>(kStale | (host ? kInHost : 0));
 }
 
 void Cluster::sync_lender_indexes() {
   for (const std::uint32_t i : stale_lenders_) {
-    const std::uint8_t held = index_bits_[i];
-    const std::uint8_t want = lender_bits(free_[i], mem_node_[i] != 0);
-    const FreeKey old_key{lend_key_[i], i};
-    const FreeKey new_key{free_[i], i};
-    const bool had_free = (held & kInFree) != 0;
-    const bool has_free = (want & kInFree) != 0;
-    const bool had_mem = (held & kInMemFree) != 0;
-    const bool has_mem = (want & kInMemFree) != 0;
-    rekey(free_index_, had_free, has_free, old_key, new_key);
-    rekey(mem_free_index_, had_mem, has_mem, old_key, new_key);
-    if (tiered()) {
-      // The per-tier variants share the membership bits and key (tier is
-      // immutable), so the node's tier indexes move the same way.
-      const std::uint8_t t = tier_[i];
-      rekey(tier_free_index_[t], had_free, has_free, old_key, new_key);
-      rekey(tier_mem_free_index_[t], had_mem, has_mem, old_key, new_key);
+    LenderKey* tree = lender_trees_[tier_[i]].data();
+    std::size_t p = lender_leaf_[i];
+    tree[p].rank = lender_rank(free_[i], mem_node_[i] != 0);
+    // Replay the winners up the root path; above an unchanged winner every
+    // ancestor is unchanged too.
+    for (p >>= 1; p != 0; p >>= 1) {
+      const LenderKey win = better(tree[2 * p], tree[2 * p + 1]);
+      if (tree[p] == win) break;
+      tree[p] = win;
     }
-    lend_key_[i] = free_[i];
-    index_bits_[i] = static_cast<std::uint8_t>((held & kInHost) | want);
+    index_bits_[i] &= static_cast<std::uint8_t>(~kStale);
   }
   stale_lenders_.clear();
 }
 
 void Cluster::rebuild_indexes_bulk() {
   const std::size_t n = capacity_.size();
+  const std::size_t tc = tiers_.size();
   free_.resize(n);
   mem_node_.resize(n);
   index_bits_.resize(n);
-  lend_key_.resize(n);
+  lender_leaf_.resize(n);
   stale_lenders_.clear();
   stale_lenders_.reserve(n);
-  // One linear pass derives every column and gathers each index's keys into
-  // a flat vector; sorting those and range-constructing the sets builds each
-  // tree with O(size) comparisons (sorted-range guarantee) instead of n
-  // individual O(log n) inserts.
+  // Each tier's leaves sit at [k, 2k) for its k nodes, in node-id order.
+  std::vector<std::uint32_t> tier_nodes(tc, 0);
+  for (std::uint32_t i = 0; i < n; ++i) ++tier_nodes[tier_[i]];
+  lender_trees_.resize(tc);
+  std::vector<std::uint32_t> next_leaf(tier_nodes);
+  for (std::size_t t = 0; t < tc; ++t) {
+    lender_trees_[t].assign(2 * std::max<std::size_t>(tier_nodes[t], 1),
+                            LenderKey{});
+  }
+  // One linear pass derives every column, fills every leaf and gathers the
+  // host keys; sorting those and range-constructing the set builds it with
+  // O(size) comparisons (sorted-range guarantee) instead of n individual
+  // O(log n) inserts.
   std::vector<FreeKey> host_keys;
-  std::vector<FreeKey> free_keys;
-  std::vector<FreeKey> mem_keys;
   host_keys.reserve(n);
-  free_keys.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     const MiB free = capacity_[i] - local_used_[i] - lent_[i];
     const bool mem = lent_[i] * 2 > capacity_[i];
     const bool host = running_job_[i] == kIdle && !mem;
-    const std::uint8_t lender = lender_bits(free, mem);
     free_[i] = free;
-    lend_key_[i] = free;
     mem_node_[i] = mem ? 1 : 0;
-    index_bits_[i] = static_cast<std::uint8_t>((host ? kInHost : 0) | lender);
+    index_bits_[i] = host ? kInHost : 0;
     if (host) host_keys.emplace_back(free, i);
-    if (lender & kInFree) free_keys.emplace_back(free, i);
-    if (lender & kInMemFree) mem_keys.emplace_back(free, i);
+    lender_leaf_[i] = next_leaf[tier_[i]]++;
+    lender_trees_[tier_[i]][lender_leaf_[i]] =
+        LenderKey{lender_rank(free, mem), i};
   }
   std::sort(host_keys.begin(), host_keys.end());
-  std::sort(free_keys.begin(), free_keys.end());
-  std::sort(mem_keys.begin(), mem_keys.end());
   host_index_ = FreeIndex(host_keys.begin(), host_keys.end());
-  free_index_ = FreeIndex(free_keys.begin(), free_keys.end());
-  mem_free_index_ = FreeIndex(mem_keys.begin(), mem_keys.end());
+  for (std::size_t t = 0; t < tc; ++t) {
+    std::vector<LenderKey>& tree = lender_trees_[t];
+    for (std::size_t p = tier_nodes[t]; p-- > 1;) {
+      tree[p] = better(tree[2 * p], tree[2 * p + 1]);
+    }
+  }
   if (tiered()) {
-    // Bucket the already-sorted global keys per tier (filtering preserves
-    // order, so each per-tier set also range-constructs linearly), and
-    // re-derive the per-tier free/lent totals from the columns.
-    const std::size_t tc = tiers_.size();
-    std::vector<std::vector<FreeKey>> tf(tc);
-    std::vector<std::vector<FreeKey>> tmf(tc);
-    for (const FreeKey& k : free_keys) tf[tier_[k.second]].push_back(k);
-    for (const FreeKey& k : mem_keys) tmf[tier_[k.second]].push_back(k);
     tier_free_mib_.assign(tc, 0);
     tier_lent_mib_.assign(tc, 0);
     for (std::uint32_t i = 0; i < n; ++i) {
       tier_free_mib_[tier_[i]] += free_[i];
       tier_lent_mib_[tier_[i]] += lent_[i];
-    }
-    for (std::size_t t = 0; t < tc; ++t) {
-      tier_free_index_[t] = FreeIndex(tf[t].begin(), tf[t].end());
-      tier_mem_free_index_[t] = FreeIndex(tmf[t].begin(), tmf[t].end());
     }
   }
 }
@@ -485,78 +476,19 @@ MiB Cluster::shrink_local(JobId job, NodeId host, MiB amount) {
 }
 
 NodeId Cluster::next_lender(NodeId exclude) const {
-  if (tiered()) {
-    // Nearest tier with free capacity first, spilling outward: each leg is
-    // one O(log n) probe of that tier's index pair.
-    for (const std::uint8_t t : tier_order_) {
-      const NodeId pick = next_lender_in_tier(t, exclude);
-      if (pick.valid()) return pick;
-    }
-    return NodeId{};
-  }
-  // First admissible key in visit_desc order — the same (free desc, id asc)
-  // walk the materialized ordering used, stopped at the first hit.
-  const auto first_desc = [exclude](const FreeIndex& index,
-                                    auto&& admit) -> NodeId {
-    NodeId found{};
-    visit_desc(index, index.end(), [&](const FreeKey& k) {
-      if (k.second == exclude.get() || !admit(k)) return true;
-      found = NodeId{k.second};
-      return false;
-    });
-    return found;
-  };
-  const auto any = [](const FreeKey&) { return true; };
-  switch (config_.lender_policy) {
-    case LenderPolicy::MostFree:
-      return first_desc(free_index_, any);
-    case LenderPolicy::LeastFree:
-      for (const FreeKey& k : free_index_) {
-        if (k.second != exclude.get()) return NodeId{k.second};
+  // Nearest tier with free capacity first, spilling outward.
+  for (const std::uint8_t t : tier_order_) {
+    const std::vector<LenderKey>& tree = lender_trees_[t];
+    LenderKey best = tree[1];
+    if (best.rank != LenderKey::kNoLender && best.id == exclude.get()) {
+      // The siblings along the excluded leaf's root path cover every other
+      // leaf of the tier exactly once.
+      best = LenderKey{};
+      for (std::uint32_t p = lender_leaf_[exclude.get()]; p > 1; p >>= 1) {
+        best = better(best, tree[p ^ 1]);
       }
-      return NodeId{};
-    case LenderPolicy::MemoryNodesFirst: {
-      // Memory nodes (free desc, id asc) before the rest in the same order —
-      // the old sort's partition under its memory-nodes-first comparator.
-      const NodeId mem = first_desc(mem_free_index_, any);
-      if (mem.valid()) return mem;
-      return first_desc(free_index_, [this](const FreeKey& k) {
-        return mem_node_[k.second] == 0;
-      });
     }
-  }
-  return NodeId{};
-}
-
-NodeId Cluster::next_lender_in_tier(std::uint8_t t, NodeId exclude) const {
-  // The configured policy's ranking, restricted to one tier's index pair.
-  const FreeIndex& tier_free = tier_free_index_[t];
-  const auto first_desc = [exclude](const FreeIndex& index,
-                                    auto&& admit) -> NodeId {
-    NodeId found{};
-    visit_desc(index, index.end(), [&](const FreeKey& k) {
-      if (k.second == exclude.get() || !admit(k)) return true;
-      found = NodeId{k.second};
-      return false;
-    });
-    return found;
-  };
-  const auto any = [](const FreeKey&) { return true; };
-  switch (config_.lender_policy) {
-    case LenderPolicy::MostFree:
-      return first_desc(tier_free, any);
-    case LenderPolicy::LeastFree:
-      for (const FreeKey& k : tier_free) {
-        if (k.second != exclude.get()) return NodeId{k.second};
-      }
-      return NodeId{};
-    case LenderPolicy::MemoryNodesFirst: {
-      const NodeId mem = first_desc(tier_mem_free_index_[t], any);
-      if (mem.valid()) return mem;
-      return first_desc(tier_free, [this](const FreeKey& k) {
-        return mem_node_[k.second] == 0;
-      });
-    }
+    if (best.rank != LenderKey::kNoLender) return NodeId{best.id};
   }
   return NodeId{};
 }
@@ -568,15 +500,15 @@ MiB Cluster::grow_remote(JobId job, NodeId host, MiB amount) {
   MiB remaining = amount;
   int lenders_touched = 0;
   std::int64_t edges_added = 0;
-  // Lenders are picked one at a time straight from the lender indexes, which
+  // Lenders are picked one at a time straight from the lender trees, which
   // are synced first: every node mutated since the last pick (Monitor
-  // resizes, placements, returns — and the previous pick) is re-keyed to its
-  // current state. Each pick is either drained to free() == 0 — so the sync
-  // before the next lookup takes it out of every index — or the grow is
-  // satisfied and the loop ends, so the sequence of picks is identical to
-  // ranking all lenders by their state at the start of the grow (the
-  // historical snapshot semantics), including memory-node status flips: a
-  // flipped node has free() == 0 and is out of both indexes.
+  // resizes, placements, returns — and the previous pick) has its leaf
+  // rewritten to its current state. Each pick is either drained to
+  // free() == 0 — so the sync before the next lookup ranks it below every
+  // lender — or the grow is satisfied and the loop ends, so the sequence of
+  // picks is identical to ranking all lenders by their state at the start
+  // of the grow (the historical snapshot semantics), including memory-node
+  // status flips: a flipped node has free() == 0 and cannot lend.
   while (remaining > 0) {
     sync_lender_indexes();
     const NodeId lender = next_lender(host);
@@ -877,13 +809,16 @@ void Cluster::check_invariants() const {
   DMSIM_ASSERT(borrow_slab_.live == expected_edges.size(),
                "reverse slab live count out of sync");
 
-  // One cache-linear pass over the columns: occupancy sums, bounds, and the
-  // derived free/memory-node/membership columns. The host bit is exact for
-  // every node; the lender bits are "as indexed", so they and lend_key_ must
-  // equal the state-derived values for every node that is not stale.
+  // One cache-linear pass over the columns: occupancy sums, bounds, the
+  // derived free/memory-node/membership columns and every node's lender
+  // leaf. The host bit is exact for every node; a leaf holds its node's id,
+  // and its rank equals the state-derived one unless the node is stale.
+  const std::size_t tc = tiers_.size();
+  DMSIM_ASSERT(lender_trees_.size() == tc, "one lender tree per tier");
+  std::vector<MiB> tier_free(tc, 0);
+  std::vector<MiB> tier_lent(tc, 0);
+  std::vector<std::size_t> tier_nodes(tc, 0);
   std::size_t host_entries = 0;
-  std::size_t free_entries = 0;
-  std::size_t mem_free_entries = 0;
   std::size_t stale_entries = 0;
   std::size_t busy_nodes = 0;
   MiB lent_total = 0;
@@ -902,27 +837,28 @@ void Cluster::check_invariants() const {
     DMSIM_ASSERT(free_[i] == free, "free column out of date");
     DMSIM_ASSERT((mem_node_[i] != 0) == mem, "memory-node column out of date");
     const std::uint8_t bits = index_bits_[i];
-    DMSIM_ASSERT((bits & ~(kInHost | kLenderBits | kStale)) == 0,
+    DMSIM_ASSERT((bits & ~(kInHost | kStale)) == 0,
                  "unknown index membership bits");
     DMSIM_ASSERT(((bits & kInHost) != 0) == host,
                  "host-index bit disagrees with node state");
-    const std::uint8_t held = bits & kLenderBits;
+    const std::uint8_t t = tier_[i];
+    DMSIM_ASSERT(t < tc, "tier column out of range");
+    const std::vector<LenderKey>& tree = lender_trees_[t];
+    const std::uint32_t leaf = lender_leaf_[i];
+    DMSIM_ASSERT(leaf >= tree.size() / 2 && leaf < tree.size() &&
+                     tree[leaf].id == i,
+                 "lender leaf does not hold its node");
     if ((bits & kStale) != 0) {
       ++stale_entries;
-      // Its held lender bits are still what its last sync derived from
-      // lend_key_ (that sync's memory-node flag is not kept, so it is read
-      // off the held bits).
-      DMSIM_ASSERT(held == lender_bits(lend_key_[i], held == kLenderBits),
-                   "stale node's held lender bits are not a sync result");
     } else {
-      DMSIM_ASSERT(lend_key_[i] == free, "lender key of a synced node out of date");
-      DMSIM_ASSERT(held == lender_bits(free, mem),
-                   "lender bits of a synced node disagree with node state");
+      DMSIM_ASSERT(tree[leaf].rank == lender_rank(free, mem),
+                   "lender leaf of a synced node disagrees with node state");
     }
     host_entries += host ? 1 : 0;
-    free_entries += (held & kInFree) != 0 ? 1 : 0;
-    mem_free_entries += (held & kInMemFree) != 0 ? 1 : 0;
     lent_total += lent_[i];
+    tier_free[t] += free;
+    tier_lent[t] += lent_[i];
+    ++tier_nodes[t];
   }
   // The stale list and the stale bits match one to one: every listed node
   // carries the bit and is listed once, and as many nodes carry it.
@@ -936,71 +872,41 @@ void Cluster::check_invariants() const {
     DMSIM_ASSERT(stale_lenders_.size() == stale_entries,
                  "stale-lender list misses a stale node");
   }
-  // Each ordered index: every entry it holds must be a node whose membership
-  // bit is set, keyed by the value that index holds it under (free_ for the
-  // host index, lend_key_ for the lender indexes); together with the
-  // per-node bit counts matching the set sizes, this proves membership is
-  // exact (no per-node tree probes needed).
-  const auto check_index = [&](const FreeIndex& index, std::uint8_t bit,
-                               const std::vector<MiB>& keys,
-                               std::size_t expected, const char* what) {
-    DMSIM_ASSERT(index.size() == expected, what);
-    for (const FreeKey& k : index) {
-      DMSIM_ASSERT(k.second < n && (index_bits_[k.second] & bit) != 0 &&
-                       keys[k.second] == k.first,
-                   what);
+  // The host index: every entry it holds must be a node whose host bit is
+  // set, keyed by its free_ entry; with the bit count matching the set size,
+  // membership is exact. Each lender tree has one leaf per node of its tier
+  // (each leaf holds its own node, checked above), and every internal entry
+  // holds the better of its two children.
+  DMSIM_ASSERT(host_index_.size() == host_entries,
+               "host index disagrees with node state");
+  for (const FreeKey& k : host_index_) {
+    DMSIM_ASSERT(k.second < n && (index_bits_[k.second] & kInHost) != 0 &&
+                     free_[k.second] == k.first,
+                 "host index disagrees with node state");
+  }
+  for (std::size_t t = 0; t < tc; ++t) {
+    const std::vector<LenderKey>& tree = lender_trees_[t];
+    DMSIM_ASSERT(tree.size() == 2 * std::max<std::size_t>(tier_nodes[t], 1),
+                 "lender tree size disagrees with its tier");
+    DMSIM_ASSERT(tier_nodes[t] != 0 || tree[1] == LenderKey{},
+                 "empty tier's lender tree holds a lender");
+    for (std::size_t p = 1; p < tier_nodes[t]; ++p) {
+      DMSIM_ASSERT(tree[p] == better(tree[2 * p], tree[2 * p + 1]),
+                   "lender tree entry is not the winner of its children");
     }
-  };
-  check_index(host_index_, kInHost, free_, host_entries,
-              "host index disagrees with node state");
-  check_index(free_index_, kInFree, lend_key_, free_entries,
-              "free index disagrees with held memberships");
-  check_index(mem_free_index_, kInMemFree, lend_key_, mem_free_entries,
-              "memory-node free index disagrees with held memberships");
+    if (tiered()) {
+      DMSIM_ASSERT(tier_free_mib_[t] == tier_free[t],
+                   "per-tier free total out of sync");
+      DMSIM_ASSERT(tier_lent_mib_[t] == tier_lent[t],
+                   "per-tier lent total out of sync");
+    }
+  }
   // Each slot points its host back at itself (checked above), so equal
   // counts make slots and busy nodes a bijection.
   DMSIM_ASSERT(busy_nodes == live_slots, "busy node without an allocation slot");
   DMSIM_ASSERT(allocated == total_allocated_,
                "aggregate allocation counter out of sync");
   DMSIM_ASSERT(lent_total == total_lent_, "aggregate lent counter out of sync");
-  if (tiered()) {
-    // Per-tier recount: free/lent totals and both index variants must agree
-    // with a fresh column sweep bucketed by the tier column.
-    const std::size_t tc = tiers_.size();
-    std::vector<MiB> tier_free(tc, 0);
-    std::vector<MiB> tier_lent(tc, 0);
-    std::vector<std::size_t> tier_free_entries(tc, 0);
-    std::vector<std::size_t> tier_mem_entries(tc, 0);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      DMSIM_ASSERT(tier_[i] < tc, "tier column out of range");
-      tier_free[tier_[i]] += free_[i];
-      tier_lent[tier_[i]] += lent_[i];
-      if (index_bits_[i] & kInFree) ++tier_free_entries[tier_[i]];
-      if (index_bits_[i] & kInMemFree) ++tier_mem_entries[tier_[i]];
-    }
-    for (std::size_t t = 0; t < tc; ++t) {
-      DMSIM_ASSERT(tier_free_mib_[t] == tier_free[t],
-                   "per-tier free total out of sync");
-      DMSIM_ASSERT(tier_lent_mib_[t] == tier_lent[t],
-                   "per-tier lent total out of sync");
-      DMSIM_ASSERT(tier_free_index_[t].size() == tier_free_entries[t],
-                   "per-tier free index disagrees with held memberships");
-      DMSIM_ASSERT(tier_mem_free_index_[t].size() == tier_mem_entries[t],
-                   "per-tier mem-free index disagrees with held memberships");
-      for (const FreeKey& k : tier_free_index_[t]) {
-        DMSIM_ASSERT(k.second < n && tier_[k.second] == t &&
-                         (index_bits_[k.second] & kInFree) != 0 &&
-                         lend_key_[k.second] == k.first,
-                     "per-tier free index entry invalid");
-      }
-      for (const FreeKey& k : tier_mem_free_index_[t]) {
-        DMSIM_ASSERT(k.second < n && tier_[k.second] == t &&
-                         (index_bits_[k.second] & kInMemFree) != 0 &&
-                         lend_key_[k.second] == k.first,
-                     "per-tier mem-free index entry invalid");
-      }
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1136,8 +1042,8 @@ void Cluster::restore_state(snapshot::Reader& reader,
       throw snapshot::SnapshotError("snapshot: node ledger out of range");
     }
   }
-  // Derived columns and all three ordered indexes come back in one bulk
-  // pass over the restored occupancy columns.
+  // Derived columns, the host index and the lender trees come back in one
+  // bulk pass over the restored occupancy columns.
   rebuild_indexes_bulk();
 
   const std::uint32_t n_jobs = reader.u32();

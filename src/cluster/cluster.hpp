@@ -33,29 +33,31 @@
 // Actuator's batched resize, the contention model's per-job walks) hashes
 // the job id once; a (job, host) call hashes nothing.
 //
-// Scalability: three ordered free-memory indexes (hostable nodes, lendable
-// nodes, lendable memory nodes) plus a reverse lender -> borrow-edge slab
-// (a CSR-style flat edge pool with per-lender rows) mean host selection,
-// lender ordering, `idle_hostable_nodes()` and `borrowers_of()` never rescan
-// all nodes or all slots. The indexes are keyed (free asc, id asc);
-// descending-free orders are produced by walking equal-free buckets back to
-// front, which reproduces the exact (free desc, id asc) order of the former
-// sort-based comparators.
+// Scalability: an ordered free-memory index of hostable nodes, one
+// tournament tree of lenders per memory tier, and a reverse lender ->
+// borrow-edge slab (a CSR-style flat edge pool with per-lender rows) mean
+// host selection, lender picks, `idle_hostable_nodes()` and `borrowers_of()`
+// never rescan all nodes or all slots. The host index is keyed (free asc,
+// id asc); its descending-free order is produced by walking equal-free
+// buckets back to front, which reproduces the exact (free desc, id asc)
+// order of the former sort-based comparator.
 //
 // The host index is maintained eagerly by every mutation (it is read on
-// every placement attempt, and busy hosts are not in it). The lender indexes
-// are lazy: a mutation only marks the node stale, and grow_remote re-keys
-// the stale nodes just before each lender pick, its only read. A Monitor
-// resize of a busy host — the bulk of all ledger traffic under the Dynamic
-// policy — therefore costs no tree work unless something is lent before the
-// node changes again. A sync yields exactly the sets the eager upkeep held,
-// so lender choice is unchanged.
+// every placement attempt, and busy hosts are not in it). The lender trees
+// are lazy: a mutation only marks the node stale, and grow_remote rewrites
+// each stale node's leaf and its root path just before each lender pick,
+// its only read. A Monitor resize of a busy host — the bulk of all ledger
+// traffic under the Dynamic policy — therefore costs no tree work unless
+// something is lent before the node changes again. Each tree's leaves are
+// ranked by the configured LenderPolicy, so a synced root is exactly the
+// lender the former ordered indexes yielded.
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <set>
 #include <span>
 #include <string>
@@ -418,7 +420,8 @@ class Cluster {
 
   /// Full-ledger consistency check (including every incremental index);
   /// aborts (DMSIM_ASSERT) on violation. One cache-linear pass over the
-  /// columns plus one walk of each ordered index — no per-node tree probes.
+  /// columns plus one walk of the host index and of each lender tree — no
+  /// per-node tree probes.
   void check_invariants() const;
 
   /// Serialize mutable ledger state: the tier table and tier/rack columns
@@ -435,40 +438,45 @@ class Cluster {
   /// configured) cluster. `format_version` is the enclosing snapshot
   /// version: 2 reads the legacy interleaved per-node layout, 3 the
   /// columnar layout, >= 4 columnar plus the tier table/columns. The
-  /// incremental free-memory indexes and the reverse borrow slab are
-  /// rebuilt in one bulk pass from the restored columns (sort + linear set
-  /// build, not n individual tree inserts), contention dirty sets are
-  /// cleared (the scheduler resets its slowdown cache to a full rebuild),
-  /// and check_invariants() validates the result.
+  /// host index, the lender trees and the reverse borrow slab are rebuilt
+  /// in one bulk pass from the restored columns (not n individual tree
+  /// inserts), contention dirty sets are cleared (the scheduler resets its
+  /// slowdown cache to a full rebuild), and check_invariants() validates
+  /// the result.
   void restore_state(snapshot::Reader& reader, std::uint32_t format_version = 4);
 
  private:
   [[nodiscard]] std::uint32_t checked(NodeId id) const;
 
-  /// (free MiB, node id): the ordered-set key of every free-memory index.
+  /// (free MiB, node id): the ordered-set key of the host index.
   using FreeKey = std::pair<MiB, std::uint32_t>;
   using FreeIndex = std::set<FreeKey>;
 
   /// Index-membership bits a node holds. kInHost is exact at all times;
-  /// its key is the free_ column entry (reindex_node updates both). The
-  /// lender bits mean "as indexed": the membership the node had at its last
-  /// sync, under the key in lend_key_. kStale marks a node on stale_lenders_
-  /// whose lender memberships may lag its current state.
-  static constexpr std::uint8_t kInHost = 1;      ///< host_index_: idle, not a memory node
-  static constexpr std::uint8_t kInFree = 2;      ///< free_index_: free() > 0
-  static constexpr std::uint8_t kInMemFree = 4;   ///< mem_free_index_: memory node, free() > 0
-  static constexpr std::uint8_t kStale = 8;       ///< lender bits/key await a sync
-  static constexpr std::uint8_t kLenderBits = kInFree | kInMemFree;
-
-  /// The lender-index memberships of a node with this free value and
-  /// memory-node flag.
-  [[nodiscard]] static constexpr std::uint8_t lender_bits(MiB free,
-                                                          bool mem) noexcept {
-    if (free <= 0) return 0;
-    return mem ? kInFree | kInMemFree : kInFree;
-  }
+  /// its key is the free_ column entry (reindex_node updates both). kStale
+  /// marks a node on stale_lenders_ whose lender-tree leaf may lag its
+  /// current state.
+  static constexpr std::uint8_t kInHost = 1;  ///< host_index_: idle, not a memory node
+  static constexpr std::uint8_t kStale = 2;   ///< lender leaf awaits a sync
 
   static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  /// A lender-tree entry: a node's rank under the LenderPolicy and its id.
+  /// The higher rank wins and equal ranks go to the lower id; a node with
+  /// no free memory ranks kNoLender, below every node that can lend.
+  struct LenderKey {
+    static constexpr MiB kNoLender = std::numeric_limits<MiB>::min();
+    MiB rank = kNoLender;
+    std::uint32_t id = kNil;
+    friend bool operator==(LenderKey, LenderKey) noexcept = default;
+  };
+  [[nodiscard]] static LenderKey better(LenderKey a, LenderKey b) noexcept {
+    return a.rank > b.rank || (a.rank == b.rank && a.id < b.id) ? a : b;
+  }
+  /// The rank of a node with this free value and memory-node flag:
+  /// MostFree ranks free desc, LeastFree free asc, MemoryNodesFirst puts
+  /// memory nodes above every other node and ranks free desc within each.
+  [[nodiscard]] MiB lender_rank(MiB free, bool mem) const noexcept;
 
   /// Where a slot lives in the job-major slab: the job's handle and the
   /// host's position in the job's assignment order.
@@ -593,19 +601,19 @@ class Cluster {
                     FreeKey new_key);
   /// Re-derive node `i`'s free value, memory-node flag, per-tier free total
   /// and host-index membership after a mutation of its local_used_/lent_/
-  /// running_job_ columns. The lender indexes are not touched: if the
-  /// node's lender key or memberships moved, it is only marked stale.
+  /// running_job_ columns. The lender trees are not touched: the node is
+  /// only marked stale.
   void reindex_node(std::uint32_t i);
-  /// Bring the lender indexes (global and per-tier) up to date: re-key each
-  /// stale node from its lend_key_ to its current free_ value and
-  /// memberships, then empty the stale list. Called before every lender
-  /// pick.
+  /// Bring the lender trees up to date: rewrite each stale node's leaf from
+  /// its free_/mem_node_ columns and replay the winners up its root path
+  /// (stopping where a winner is unchanged), then empty the stale list.
+  /// Called before every lender pick.
   void sync_lender_indexes();
-  /// Rebuild free_, mem_node_, lend_key_, membership bits and all three
-  /// ordered indexes from the capacity/local_used/lent/running_job columns
-  /// in one bulk pass: gather keys per index, sort each flat key vector,
-  /// then range-construct the sets linearly — instead of n individual
-  /// O(log n) tree inserts. Leaves no node stale.
+  /// Rebuild free_, mem_node_, membership bits, the host index and every
+  /// lender tree from the capacity/local_used/lent/running_job columns in
+  /// one bulk pass: the host keys are sorted and range-constructed into the
+  /// set, each tree's leaves are filled and its winners built bottom-up in
+  /// O(n). Leaves no node stale.
   void rebuild_indexes_bulk();
   void mark_lender_dirty(NodeId id);
   void mark_job_dirty(JobId job) { dirty_jobs_.push_back(job); }
@@ -614,19 +622,14 @@ class Cluster {
   void mark_slot_dirty(const AllocationSlot& slot);
 
   /// Best current lender (free memory, excluding `exclude`) under the
-  /// configured LenderPolicy, straight from the lender indexes, which the
-  /// caller must have synced (sync_lender_indexes); invalid id when no
-  /// lender remains. grow_remote drains each pick completely before asking
-  /// again, so repeated calls walk the same sequence a full materialized
-  /// ordering would — in O(log nodes) per pick instead of O(nodes) total.
-  /// When tiered, tiers are walked nearest first (tier_order_) and the
-  /// policy ranks lenders within each tier — "cheapest tier with free
-  /// capacity" in O(log n).
+  /// configured LenderPolicy, read off the lender trees, which the caller
+  /// must have synced (sync_lender_indexes); invalid id when no lender
+  /// remains. Tiers are walked nearest first (tier_order_): each is its
+  /// tree's root, or, when the root is `exclude`, the best of the siblings
+  /// along `exclude`'s leaf path — O(log n) either way. grow_remote drains
+  /// each pick completely before asking again, so repeated calls walk the
+  /// same sequence a full materialized ordering would.
   [[nodiscard]] NodeId next_lender(NodeId exclude) const;
-  /// The within-one-tier leg of tiered lender selection: the configured
-  /// policy applied to tier `t`'s index pair.
-  [[nodiscard]] NodeId next_lender_in_tier(std::uint8_t t,
-                                           NodeId exclude) const;
   /// Push tier_lent_mib_ into the ledger.tier_occupancy.* gauges (no-op on
   /// flat topologies, where none are registered).
   void publish_tier_gauges();
@@ -640,13 +643,6 @@ class Cluster {
   std::vector<double> tier_latency_factor_;    ///< latency_ns / reference
   std::vector<double> tier_bandwidth_factor_;  ///< reference / bandwidth_gbs
   std::vector<std::uint8_t> tier_order_;    ///< tier ids, latency asc, id asc
-  // Per-tier index variants, maintained ONLY when tiered() (the single-tier
-  // topology must not pay for them — and degenerates to the global indexes
-  // anyway). Membership mirrors free_index_/mem_free_index_ restricted to
-  // each tier's nodes, under the same kInFree/kInMemFree bits and lend_key_,
-  // and is synced together with them.
-  std::vector<FreeIndex> tier_free_index_;
-  std::vector<FreeIndex> tier_mem_free_index_;
   std::vector<MiB> tier_free_mib_;  ///< sum of free() per tier
   std::vector<MiB> tier_lent_mib_;  ///< sum of lent per tier
 
@@ -662,10 +658,7 @@ class Cluster {
   // Derived columns, maintained by reindex_node():
   std::vector<MiB> free_;               ///< capacity - local_used - lent
   std::vector<std::uint8_t> mem_node_;  ///< 1 iff lent*2 > capacity
-  std::vector<std::uint8_t> index_bits_;  ///< kInHost|kInFree|kInMemFree|kStale
-  /// The free value each node is keyed under in the lender indexes (its
-  /// free_ at the last sync); differs from free_ only while stale.
-  std::vector<MiB> lend_key_;
+  std::vector<std::uint8_t> index_bits_;  ///< kInHost|kStale
   /// Nodes with kStale set, each once, in marking order; bounded by the
   /// node count and emptied by sync_lender_indexes().
   std::vector<std::uint32_t> stale_lenders_;
@@ -682,10 +675,14 @@ class Cluster {
   MiB total_lent_ = 0;
 
   // Incremental indexes (see file comment): the host index is eager, the
-  // two lender indexes (and their per-tier variants) lazy.
+  // lender trees lazy.
   FreeIndex host_index_;
-  FreeIndex free_index_;
-  FreeIndex mem_free_index_;
+  /// One winner tree per tier over that tier's nodes (a flat topology has
+  /// one). A tier of k nodes holds its leaves at [k, 2k) and the winner of
+  /// entries 2p and 2p+1 at p, so entry 1 is the tier's best lender; an
+  /// empty tier is the lone entry 1 = LenderKey{}.
+  std::vector<std::vector<LenderKey>> lender_trees_;
+  std::vector<std::uint32_t> lender_leaf_;  ///< per node: its leaf in its tier's tree
   std::vector<NodeId> nodes_by_capacity_;  ///< static (capacity asc, id asc)
   std::vector<MiB> capacities_sorted_;     ///< capacities in the same order
   BorrowSlab borrow_slab_;  ///< reverse borrow index (lender -> slots)

@@ -352,7 +352,9 @@ FileConfig parse_config(std::istream& in) {
     } else if (key == "sampleinterval") {
       sch.sample_interval = parse_duration(value);
     } else if (key == "jobs") {
-      wl.cirne.num_jobs = static_cast<std::size_t>(parse_number(value, "Jobs"));
+      const double jobs = parse_number(value, "Jobs");
+      if (!(jobs >= 1.0)) throw ConfigError("Jobs must be positive");
+      wl.cirne.num_jobs = static_cast<std::size_t>(jobs);
       out.has_workload = true;
     } else if (key == "targetload") {
       wl.cirne.target_load = parse_number(value, "TargetLoad");
@@ -388,6 +390,27 @@ FileConfig parse_config(std::istream& in) {
       throw ConfigError("config line " + std::to_string(line_no) +
                         ": unknown key '" + key + "'");
     }
+  }
+  // Range checks on the final values, each naming its key: out of range,
+  // these abort deep inside cluster, scheduler or workload construction.
+  const auto require = [](bool ok, const char* what) {
+    if (!ok) throw ConfigError(what);
+  };
+  const SystemConfig& sys = out.simulation.system;
+  require(sys.total_nodes > 0, "Nodes must be positive");
+  require(sys.cores_per_node > 0, "CoresPerNode must be positive");
+  require(sys.normal_capacity > 0, "NormalCapacity must be positive");
+  require(sys.pct_large_nodes >= 0.0 && sys.pct_large_nodes <= 1.0,
+          "PctLargeNodes must be in [0, 1]");
+  require(out.simulation.sched.update_interval > 0.0,
+          "UpdateInterval must be positive");
+  require(out.simulation.sched.queue_depth > 0, "QueueDepth must be positive");
+  if (out.has_workload) {
+    const workload::CirneConfig& cirne = out.workload.cirne;
+    require(cirne.max_job_nodes >= 1 && cirne.max_job_nodes <= sys.total_nodes,
+            "MaxJobNodes must be in [1, Nodes]");
+    require(cirne.target_load > 0.0 && cirne.target_load <= 1.5,
+            "TargetLoad must be in (0, 1.5]");
   }
   // Memory-class boundaries of the workload follow the system's node sizes.
   out.workload.normal_capacity = out.simulation.system.normal_capacity;

@@ -61,8 +61,9 @@ struct FileConfig {
   ServeFileConfig serve;
 };
 
-/// Parse a configuration stream/file. Throws ConfigError on unknown keys or
-/// malformed values (typos must not silently fall back to defaults).
+/// Parse a configuration stream/file. Throws ConfigError on unknown keys,
+/// malformed values (typos must not silently fall back to defaults) and
+/// out-of-range values, naming the key.
 [[nodiscard]] FileConfig parse_config(std::istream& in);
 [[nodiscard]] FileConfig parse_config_file(const std::string& path);
 

@@ -1,10 +1,13 @@
 // Detailed ledger behaviours: shrink ordering, borrow merging, aggregate
-// counters under interleaved multi-job traffic, slab handle recycling, and
-// lazy lender-index upkeep against a bulk rebuild.
+// counters under interleaved multi-job traffic, slab handle recycling, lazy
+// lender-tree upkeep against a bulk rebuild, and each lender pick against a
+// brute-force ranking of the columns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -297,6 +300,124 @@ TEST(LedgerDetail, LazyLenderIndexesMatchBulkRebuild) {
         ASSERT_EQ(saved_bytes(probe), saved_bytes(twin)) << "step " << step;
         probe.check_invariants();
         twin.check_invariants();
+      }
+    }
+  }
+}
+
+/// The lender a grow from `host` must take first, by brute force: nearest
+/// tier first, and within a tier every node with free memory other than
+/// `host`, sorted by the policy's full ranking.
+NodeId brute_force_lender(const Cluster& c, NodeId host) {
+  const auto mem = [&c](std::uint32_t i) { return c.is_memory_node(NodeId{i}); };
+  const auto free = [&c](std::uint32_t i) { return c.free_of(NodeId{i}); };
+  const auto ranks_before = [&](std::uint32_t a, std::uint32_t b) {
+    switch (c.lender_policy()) {
+      case LenderPolicy::MostFree:
+        return std::pair(-free(a), a) < std::pair(-free(b), b);
+      case LenderPolicy::LeastFree:
+        return std::pair(free(a), a) < std::pair(free(b), b);
+      case LenderPolicy::MemoryNodesFirst:
+        return std::tuple(!mem(a), -free(a), a) < std::tuple(!mem(b), -free(b), b);
+    }
+    return false;
+  };
+  for (const std::uint8_t t : c.tier_order()) {
+    std::vector<std::uint32_t> admissible;
+    for (std::uint32_t i = 0; i < c.node_count(); ++i) {
+      if (c.tier_of(NodeId{i}) == t && i != host.get() && free(i) > 0) {
+        admissible.push_back(i);
+      }
+    }
+    if (!admissible.empty()) {
+      std::sort(admissible.begin(), admissible.end(), ranks_before);
+      return NodeId{admissible.front()};
+    }
+  }
+  return NodeId{};
+}
+
+TEST(LedgerDetail, LenderTreeMatchesSortedRanking) {
+  // Seeded random grow/shrink/assign/finish traffic on 37 nodes (an odd
+  // count, so the trees are not perfect) whose memory moves in 8 GiB steps,
+  // so equal free values (id tie-breaks) are common. After every operation
+  // a copy of the ledger grows 1 MiB remote for several (job, host) pairs:
+  // the one lender it takes must be the brute-force ranking's first node.
+  for (const bool tiered : {false, true}) {
+    for (const LenderPolicy policy :
+         {LenderPolicy::MostFree, LenderPolicy::MemoryNodesFirst,
+          LenderPolicy::LeastFree}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (tiered ? "3-tier" : "flat") << " policy "
+                   << static_cast<int>(policy));
+      ClusterConfig cfg = make_cluster_config(29, 64 * kGiB, 8, 128 * kGiB);
+      cfg.lender_policy = policy;
+      if (tiered) {
+        cfg.tiers = {MemoryTier{"far", 1200.0, 40.0, TierScope::CrossRack},
+                     MemoryTier{"local", 150.0, 90.0, TierScope::Local},
+                     MemoryTier{"rack", 450.0, 64.0, TierScope::Rack}};
+        for (std::size_t i = 0; i < cfg.nodes.size(); ++i) {
+          cfg.nodes[i].tier = static_cast<std::uint8_t>((i * 7) % 3);
+        }
+      }
+      Cluster live(cfg);
+      util::Rng rng(tiered ? 9001 : 1337);
+      std::vector<JobId> jobs;
+      std::uint32_t next_id = 1;
+      const auto pick = [&rng](std::size_t size) {
+        return static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+      };
+      const auto steps = [&rng](std::int64_t hi) {
+        return rng.uniform_int(1, hi) * 8 * kGiB;
+      };
+      for (int step = 0; step < 400; ++step) {
+        const std::int64_t op =
+            jobs.empty() ? 0 : rng.uniform_int(jobs.size() < 6 ? 0 : 1, 6);
+        if (op == 0) {
+          std::vector<NodeId> hosts;
+          for (std::uint32_t i = 0; i < live.node_count(); ++i) {
+            if (live.can_host(NodeId{i}) && rng.bernoulli(0.2)) {
+              hosts.push_back(NodeId{i});
+            }
+          }
+          if (hosts.empty()) continue;
+          hosts.resize(std::min<std::size_t>(hosts.size(), 3));
+          const JobId job{next_id++};
+          live.assign_job(job, hosts);
+          for (const NodeId h : hosts) (void)live.grow_local(job, h, steps(6));
+          jobs.push_back(job);
+        } else if (op == 1) {
+          const std::size_t k = pick(jobs.size());
+          live.finish_job(jobs[k]);
+          jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(k));
+        } else {
+          const JobId job = jobs[pick(jobs.size())];
+          const auto hosts = live.hosts_of(job);
+          const NodeId host = hosts[pick(hosts.size())];
+          if (op == 2) (void)live.grow_local(job, host, steps(6));
+          if (op == 3) (void)live.shrink_local(job, host, steps(6));
+          if (op == 4 || op == 5) (void)live.grow_remote(job, host, steps(8));
+          if (op == 6) (void)live.shrink_remote(job, host, steps(8));
+        }
+        live.check_invariants();
+        for (int probe = 0; probe < 4 && !jobs.empty(); ++probe) {
+          const JobId job = jobs[pick(jobs.size())];
+          const auto hosts = live.hosts_of(job);
+          const NodeId host = hosts[pick(hosts.size())];
+          const NodeId expected = brute_force_lender(live, host);
+          Cluster copy = live;
+          ASSERT_EQ(copy.grow_remote(job, host, 1), expected.valid() ? 1 : 0)
+              << "step " << step;
+          NodeId taken{};
+          for (std::uint32_t i = 0; i < copy.node_count(); ++i) {
+            if (copy.lent_of(NodeId{i}) != live.lent_of(NodeId{i})) {
+              taken = NodeId{i};
+            }
+          }
+          ASSERT_EQ(taken, expected) << "step " << step << " host " << host.get();
+          copy.check_invariants();
+        }
       }
     }
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -231,6 +232,72 @@ TEST(ParseConfig, MemoryTiersRejections) {
     std::istringstream in("MemoryTiers = a:100:50:1.0:continental\n");
     EXPECT_THROW(parse_config(in), ConfigError);
   }
+}
+
+// Each out-of-range value is a ConfigError naming its key (it used to
+// abort the process inside cluster, scheduler or workload construction).
+void expect_rejected(const std::string& text, const std::string& key) {
+  std::istringstream in(text);
+  try {
+    (void)parse_config(in);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+}
+
+TEST(ParseConfigRange, NodesMustBePositive) {
+  expect_rejected("Nodes = 0\n", "Nodes");
+  expect_rejected("Nodes = -4\n", "Nodes");
+}
+
+TEST(ParseConfigRange, CoresPerNodeMustBePositive) {
+  expect_rejected("CoresPerNode = 0\n", "CoresPerNode");
+  expect_rejected("CoresPerNode = -1\n", "CoresPerNode");
+}
+
+TEST(ParseConfigRange, NormalCapacityMustBePositive) {
+  expect_rejected("NormalCapacity = 0\n", "NormalCapacity");
+}
+
+TEST(ParseConfigRange, PctLargeNodesIsAFraction) {
+  expect_rejected("PctLargeNodes = -0.1\n", "PctLargeNodes");
+  expect_rejected("PctLargeNodes = 1.5\n", "PctLargeNodes");
+}
+
+TEST(ParseConfigRange, UpdateIntervalMustBePositive) {
+  expect_rejected("UpdateInterval = 0\n", "UpdateInterval");
+}
+
+TEST(ParseConfigRange, QueueDepthMustBePositive) {
+  expect_rejected("QueueDepth = 0\n", "QueueDepth");
+  expect_rejected("QueueDepth = -3\n", "QueueDepth");
+}
+
+TEST(ParseConfigRange, JobsMustBePositive) {
+  expect_rejected("Jobs = 0\n", "Jobs");
+  expect_rejected("Jobs = -10\n", "Jobs");
+}
+
+TEST(ParseConfigRange, MaxJobNodesWithinTheSystem) {
+  expect_rejected("Nodes = 16\nMaxJobNodes = 0\n", "MaxJobNodes");
+  expect_rejected("Nodes = 16\nMaxJobNodes = 17\n", "MaxJobNodes");
+  // The default MaxJobNodes (128) does not fit a 16-node synthetic system.
+  expect_rejected("Nodes = 16\nJobs = 10\n", "MaxJobNodes");
+}
+
+TEST(ParseConfigRange, TargetLoadInRange) {
+  expect_rejected("TargetLoad = 0\n", "TargetLoad");
+  expect_rejected("TargetLoad = 1.6\n", "TargetLoad");
+}
+
+TEST(ParseConfigRange, BoundaryValuesAccepted) {
+  std::istringstream in(
+      "Nodes = 16\nPctLargeNodes = 1\nMaxJobNodes = 16\nTargetLoad = 1.5\n"
+      "Jobs = 1\nQueueDepth = 1\n");
+  const FileConfig cfg = parse_config(in);
+  EXPECT_EQ(cfg.workload.cirne.max_job_nodes, 16);
+  EXPECT_EQ(cfg.workload.cirne.num_jobs, 1u);
 }
 
 TEST(ParseConfig, MissingFileThrows) {

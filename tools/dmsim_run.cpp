@@ -489,8 +489,10 @@ int run(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bool parsed = false;  // usage text answers flag errors, not runtime ones
   try {
     const Options opt = parse_args(argc, argv);
+    parsed = true;
     if (opt.help) {
       print_usage(std::cout);
       return 0;
@@ -505,7 +507,7 @@ int main(int argc, char** argv) {
     return run(opt);
   } catch (const std::exception& e) {
     std::cerr << "dmsim_run: " << e.what() << '\n';
-    print_usage(std::cerr);
+    if (!parsed) print_usage(std::cerr);
     return 1;
   }
 }
