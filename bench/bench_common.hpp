@@ -1,24 +1,16 @@
 // Shared plumbing for the table/figure reproduction binaries.
 //
-// Every bench accepts:
-//   --full        run at the paper's scale (1024-node synthetic system,
-//                 1490-node Grizzly system); the default is a reduced scale
-//                 tuned for a single-core CI box — the result *shapes* (who
-//                 wins, by what factor, where crossovers sit) are preserved,
-//                 which is the reproduction target (see EXPERIMENTS.md)
-//   --threads N   worker threads for the cell sweep (0/default = all
-//                 hardware threads, 1 = serial); the figure output is
-//                 byte-identical at any setting
-//   --json FILE   machine-readable perf report (per-cell and aggregate
-//                 events/sec, wall seconds, sim-time speedup) for
-//                 trajectory tracking across commits
+// Every bench accepts the flags of bench::flag_table (--help lists them).
+// --full runs at the paper's scale (1024-node synthetic system, 1490-node
+// Grizzly system); the default reduced scale keeps the result *shapes* (who
+// wins, by what factor, where crossovers sit), which is the reproduction
+// target (see EXPERIMENTS.md).
 //
 // Cells run through bench::Runner, a thin deferred-execution wrapper over
 // harness::SweepRunner: benches enqueue every cell up front (add), fan out
 // once (run), then format tables from the in-order results (get).
 #pragma once
 
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -28,6 +20,7 @@
 
 #include "core/dmsim.hpp"
 #include "metrics/json_export.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace dmsim::bench {
@@ -84,31 +77,42 @@ struct Options {
   bool progress = false;    ///< --progress: live per-cell lines on stderr
 };
 
-[[nodiscard]] inline Options parse_options(int argc, char** argv) {
-  Options opts;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
-      opts.scale.full = true;
-      opts.scale.synth_nodes = 1024;
-      opts.scale.synth_jobs = 2048;
-      opts.scale.synth_max_job_nodes = 128;
-      opts.scale.grizzly_nodes = 1490;
-      opts.scale.grizzly_max_job_nodes = 128;
-      opts.scale.grizzly_weeks = 52;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.threads = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opts.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      opts.progress = true;
-    }
-  }
-  return opts;
+/// The flags every bench accepts, bound to `opts`. A bench with flags of
+/// its own adds rows to the table before parse_options.
+[[nodiscard]] inline util::FlagTable flag_table(Options& opts) {
+  util::FlagTable flags({"[options]"});
+  flags.flag("--full", "run at the paper's scale (default: reduced scale)",
+             opts.scale.full)
+      .integer("--threads", "N",
+               "sweep workers (0 = all cores); output identical at any N",
+               0, util::kMaxThreads, opts.threads)
+      .text("--json", "FILE", "write the machine-readable perf report",
+            opts.json_path)
+      .flag("--progress", "stream per-cell progress lines to stderr",
+            opts.progress);
+  return flags;
 }
 
-/// Back-compat shim for callers that only need the scale knobs.
-[[nodiscard]] inline Scale parse_scale(int argc, char** argv) {
-  return parse_options(argc, argv).scale;
+/// Parse argv against `flags` (FlagTable::parse_or_exit: --help and flag
+/// errors exit), then apply --full's paper scale.
+inline void parse_options(util::FlagTable& flags, Options& opts, int argc,
+                          char** argv) {
+  flags.parse_or_exit(argc, argv);
+  if (opts.scale.full) {
+    opts.scale.synth_nodes = 1024;
+    opts.scale.synth_jobs = 2048;
+    opts.scale.synth_max_job_nodes = 128;
+    opts.scale.grizzly_nodes = 1490;
+    opts.scale.grizzly_max_job_nodes = 128;
+    opts.scale.grizzly_weeks = 52;
+  }
+}
+
+[[nodiscard]] inline Options parse_options(int argc, char** argv) {
+  Options opts;
+  util::FlagTable flags = flag_table(opts);
+  parse_options(flags, opts, argc, argv);
+  return opts;
 }
 
 /// Per-cell perf sample for the --json report.

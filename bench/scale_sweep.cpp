@@ -17,19 +17,14 @@
 // to the --json report. --enforce-floors turns the report into a gate: the
 // column scan must stay within kScanCeilingNs ns/node at every scale, and
 // the incremental refresh must beat the full evaluation >= 5x at >= 100k
-// nodes.
-//
-//   scale_sweep [--scale grizzly|10k|100k|1m|N]... [--threads N]
-//               [--json FILE] [--enforce-floors] [--progress]
-//
-// Default scales: grizzly + 10k (the CI smoke configuration).
+// nodes. The default scales, grizzly and 10k, are the CI smoke configuration.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -82,41 +77,38 @@ struct Options {
   bool progress = false;
 };
 
-[[nodiscard]] int parse_scale_name(const std::string& name) {
+/// Node count of a --scale value: a named scale or an integer.
+[[nodiscard]] int scale_nodes(const std::string& name) {
   if (name == "grizzly") return 1490;
   if (name == "10k") return 10'000;
   if (name == "100k") return 100'000;
   if (name == "1m" || name == "1M") return 1'000'000;
-  try {
-    const int n = std::stoi(name);
-    if (n > 0) return n;
-  } catch (const std::exception&) {
-  }
-  return 0;
+  return static_cast<int>(util::parse_integer(
+      name, 1, std::numeric_limits<int>::max(), "--scale"));
 }
 
 [[nodiscard]] Options parse_options(int argc, char** argv) {
   Options opts;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      const std::string name = argv[++i];
-      const int nodes = parse_scale_name(name);
-      if (nodes <= 0) {
-        std::cerr << "error: bad --scale '" << name
-                  << "' (use grizzly|10k|100k|1m or a positive integer)\n";
-        std::exit(2);
-      }
-      opts.scales.push_back({name, nodes});
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      opts.threads = static_cast<std::size_t>(std::stoul(argv[++i]));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      opts.json_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--enforce-floors") == 0) {
-      opts.enforce_floors = true;
-    } else if (std::strcmp(argv[i], "--progress") == 0) {
-      opts.progress = true;
+  std::vector<std::string> names;
+  util::FlagTable flags({"[options]"});
+  flags
+      .repeated("--scale", "S",
+                "grizzly|10k|100k|1m|N, repeatable (default: grizzly, 10k)",
+                names)
+      .integer("--threads", "N",
+               "sweep workers (0 = all cores); output identical at any N",
+               0, util::kMaxThreads, opts.threads)
+      .text("--json", "FILE", "write the BENCH_scale.json report",
+            opts.json_path)
+      .flag("--enforce-floors", "exit 1 when a probe misses its floor",
+            opts.enforce_floors)
+      .flag("--progress", "stream per-cell progress lines to stderr",
+            opts.progress);
+  flags.parse_or_exit(argc, argv, [&] {
+    for (const std::string& name : names) {
+      opts.scales.push_back({name, scale_nodes(name)});
     }
-  }
+  });
   if (opts.scales.empty()) {
     opts.scales = {{"grizzly", 1490}, {"10k", 10'000}};
   }

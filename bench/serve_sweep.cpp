@@ -21,7 +21,6 @@
 //
 // --json FILE writes BENCH_serve.json (timings, speedup, floors, fan-out).
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -47,16 +46,16 @@ constexpr int kTimingIterations = 30;
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = dmsim::bench::parse_options(argc, argv);
+  dmsim::bench::Options opts;
   bool enforce_floors = false;
   std::string snapshot_path = "BENCH_serve.snap";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--enforce-floors") == 0) {
-      enforce_floors = true;
-    } else if (std::strcmp(argv[i], "--snapshot") == 0 && i + 1 < argc) {
-      snapshot_path = argv[++i];
-    }
-  }
+  dmsim::util::FlagTable flags = dmsim::bench::flag_table(opts);
+  flags
+      .flag("--enforce-floors", "exit 1 unless forks beat file restores 5x",
+            enforce_floors)
+      .text("--snapshot", "FILE", "warm image path (default BENCH_serve.snap)",
+            snapshot_path);
+  dmsim::bench::parse_options(flags, opts, argc, argv);
   dmsim::bench::print_scale_banner(
       opts, "serve sweep — fork-from-image vs file restore");
 

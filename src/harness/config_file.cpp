@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <sstream>
 
+#include "util/cli.hpp"
 #include "util/error.hpp"
 
 namespace dmsim::harness {
@@ -27,15 +29,12 @@ namespace {
   return s.substr(first, last - first + 1);
 }
 
-[[nodiscard]] double parse_number(const std::string& value, const char* what) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw ConfigError(std::string("invalid ") + what + ": '" + value + "'");
-  }
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+
+/// An `int` config key: an integer in [lo, INT_MAX].
+[[nodiscard]] int parse_int(const std::string& value, std::int64_t lo,
+                            const char* key) {
+  return static_cast<int>(util::parse_integer(value, lo, kIntMax, key));
 }
 
 /// Split a "<number><suffix>" value; suffix may be empty.
@@ -50,7 +49,7 @@ namespace {
   if (pos == 0) {
     throw ConfigError(std::string("invalid ") + what + ": '" + value + "'");
   }
-  const double number = parse_number(value.substr(0, pos), what);
+  const double number = util::parse_real(value.substr(0, pos), what);
   return {number, lower(strip(value.substr(pos)))};
 }
 
@@ -142,7 +141,7 @@ monitor::MonitorConfig parse_monitor(const std::string& value) {
                         "' (want sampled:relative_error:staleness)");
     }
     cfg.kind = monitor::MonitorKind::Sampled;
-    cfg.relative_error = parse_number(fields[1], "monitor relative error");
+    cfg.relative_error = util::parse_real(fields[1], "monitor relative error");
     cfg.staleness = parse_duration(fields[2]);
     if (cfg.relative_error < 0.0 || cfg.relative_error >= 1.0) {
       throw ConfigError("monitor relative error must be in [0, 1): '" + value +
@@ -160,10 +159,10 @@ monitor::MonitorConfig parse_monitor(const std::string& value) {
     cfg.kind = monitor::MonitorKind::Adaptive;
     cfg.min_interval = parse_duration(fields[1]);
     cfg.max_interval = parse_duration(fields[2]);
-    cfg.error_bound = parse_number(fields[3], "monitor error bound");
+    cfg.error_bound = util::parse_real(fields[3], "monitor error bound");
     if (fields.size() == 5) {
       cfg.overhead_us_per_region =
-          parse_number(fields[4], "monitor overhead");
+          util::parse_real(fields[4], "monitor overhead");
     }
     if (cfg.min_interval <= 0.0 || cfg.max_interval < cfg.min_interval) {
       throw ConfigError("monitor intervals must satisfy 0 < min <= max: '" +
@@ -228,9 +227,9 @@ void parse_memory_tiers(const std::string& value, SystemConfig& sys) {
     }
     cluster::MemoryTier tier;
     tier.name = fields[0];
-    tier.latency_ns = parse_number(fields[1], "tier latency");
-    tier.bandwidth_gbs = parse_number(fields[2], "tier bandwidth");
-    const double fraction = parse_number(fields[3], "tier fraction");
+    tier.latency_ns = util::parse_real(fields[1], "tier latency");
+    tier.bandwidth_gbs = util::parse_real(fields[2], "tier bandwidth");
+    const double fraction = util::parse_real(fields[3], "tier fraction");
     if (fields.size() == 5) tier.scope = parse_tier_scope(fields[4]);
     if (tier.name.empty()) {
       throw ConfigError("MemoryTiers entry needs a name: '" + entry + "'");
@@ -289,16 +288,16 @@ FileConfig parse_config(std::istream& in) {
     auto& wl = out.workload;
 
     if (key == "nodes") {
-      sys.total_nodes = static_cast<int>(parse_number(value, "Nodes"));
+      sys.total_nodes = parse_int(value, 1, "Nodes");
       wl.cirne.system_nodes = sys.total_nodes;
     } else if (key == "pctlargenodes") {
-      sys.pct_large_nodes = parse_number(value, "PctLargeNodes");
+      sys.pct_large_nodes = util::parse_real(value, "PctLargeNodes");
     } else if (key == "normalcapacity") {
       sys.normal_capacity = parse_memory(value);
     } else if (key == "largecapacity") {
       sys.large_capacity = parse_memory(value);
     } else if (key == "corespernode") {
-      sys.cores_per_node = static_cast<int>(parse_number(value, "CoresPerNode"));
+      sys.cores_per_node = parse_int(value, 1, "CoresPerNode");
     } else if (key == "lenderpolicy") {
       sys.lender_policy = parse_lender_policy(value);
     } else if (key == "memorytiers") {
@@ -308,9 +307,9 @@ FileConfig parse_config(std::istream& in) {
     } else if (key == "schedulerinterval") {
       sch.sched_interval = parse_duration(value);
     } else if (key == "queuedepth") {
-      sch.queue_depth = static_cast<int>(parse_number(value, "QueueDepth"));
+      sch.queue_depth = parse_int(value, 1, "QueueDepth");
     } else if (key == "backfilldepth") {
-      sch.backfill_depth = static_cast<int>(parse_number(value, "BackfillDepth"));
+      sch.backfill_depth = parse_int(value, 0, "BackfillDepth");
     } else if (key == "enablebackfill") {
       sch.enable_backfill = parse_bool(value);
     } else if (key == "backfillmode") {
@@ -341,51 +340,43 @@ FileConfig parse_config(std::istream& in) {
       sch.oom_handling = parse_oom_handling(value);
     } else if (key == "guaranteedafterfailures") {
       sch.guaranteed_after_failures =
-          static_cast<int>(parse_number(value, "GuaranteedAfterFailures"));
+          parse_int(value, -kIntMax - 1, "GuaranteedAfterFailures");
     } else if (key == "priorityboostperfailure") {
       sch.priority_boost_per_failure =
-          static_cast<int>(parse_number(value, "PriorityBoostPerFailure"));
+          parse_int(value, -kIntMax - 1, "PriorityBoostPerFailure");
     } else if (key == "maxrestarts") {
-      sch.max_restarts = static_cast<int>(parse_number(value, "MaxRestarts"));
+      sch.max_restarts = parse_int(value, 1, "MaxRestarts");
     } else if (key == "enforcewalltime") {
       sch.enforce_walltime = parse_bool(value);
     } else if (key == "sampleinterval") {
       sch.sample_interval = parse_duration(value);
     } else if (key == "jobs") {
-      const double jobs = parse_number(value, "Jobs");
-      if (!(jobs >= 1.0)) throw ConfigError("Jobs must be positive");
-      wl.cirne.num_jobs = static_cast<std::size_t>(jobs);
+      wl.cirne.num_jobs = static_cast<std::size_t>(parse_int(value, 1, "Jobs"));
       out.has_workload = true;
     } else if (key == "targetload") {
-      wl.cirne.target_load = parse_number(value, "TargetLoad");
+      wl.cirne.target_load = util::parse_real(value, "TargetLoad");
       out.has_workload = true;
     } else if (key == "pctlargejobs") {
-      wl.pct_large_jobs = parse_number(value, "PctLargeJobs");
+      wl.pct_large_jobs = util::parse_real(value, "PctLargeJobs");
       out.has_workload = true;
     } else if (key == "overestimation") {
-      wl.overestimation = parse_number(value, "Overestimation");
+      wl.overestimation = util::parse_real(value, "Overestimation");
       out.has_workload = true;
     } else if (key == "maxjobnodes") {
-      wl.cirne.max_job_nodes =
-          static_cast<int>(parse_number(value, "MaxJobNodes"));
+      wl.cirne.max_job_nodes = parse_int(value, 1, "MaxJobNodes");
       out.has_workload = true;
     } else if (key == "seed") {
-      wl.seed = static_cast<std::uint64_t>(parse_number(value, "Seed"));
+      wl.seed = static_cast<std::uint64_t>(util::parse_real(value, "Seed"));
       out.has_workload = true;
     } else if (key == "servethreads") {
-      const double n = parse_number(value, "ServeThreads");
-      if (n < 0.0) throw ConfigError("ServeThreads must be >= 0");
-      out.serve.threads = static_cast<std::size_t>(n);
+      out.serve.threads = static_cast<std::size_t>(
+          util::parse_integer(value, 0, util::kMaxThreads, "ServeThreads"));
     } else if (key == "servecacheimages") {
-      const double n = parse_number(value, "ServeCacheImages");
-      if (n < 1.0) throw ConfigError("ServeCacheImages must be >= 1");
-      out.serve.cache_images = static_cast<std::size_t>(n);
+      out.serve.cache_images =
+          static_cast<std::size_t>(parse_int(value, 1, "ServeCacheImages"));
     } else if (key == "serveport") {
-      const double n = parse_number(value, "ServePort");
-      if (n < 0.0 || n > 65535.0) {
-        throw ConfigError("ServePort must be in [0, 65535]");
-      }
-      out.serve.port = static_cast<int>(n);
+      out.serve.port =
+          static_cast<int>(util::parse_integer(value, 0, 65535, "ServePort"));
     } else {
       throw ConfigError("config line " + std::to_string(line_no) +
                         ": unknown key '" + key + "'");
@@ -397,20 +388,26 @@ FileConfig parse_config(std::istream& in) {
     if (!ok) throw ConfigError(what);
   };
   const SystemConfig& sys = out.simulation.system;
-  require(sys.total_nodes > 0, "Nodes must be positive");
-  require(sys.cores_per_node > 0, "CoresPerNode must be positive");
   require(sys.normal_capacity > 0, "NormalCapacity must be positive");
   require(sys.pct_large_nodes >= 0.0 && sys.pct_large_nodes <= 1.0,
           "PctLargeNodes must be in [0, 1]");
+  require(sys.pct_large_nodes == 0.0 || sys.large_capacity > 0,
+          "LargeCapacity must be positive when PctLargeNodes > 0");
   require(out.simulation.sched.update_interval > 0.0,
           "UpdateInterval must be positive");
-  require(out.simulation.sched.queue_depth > 0, "QueueDepth must be positive");
   if (out.has_workload) {
     const workload::CirneConfig& cirne = out.workload.cirne;
-    require(cirne.max_job_nodes >= 1 && cirne.max_job_nodes <= sys.total_nodes,
+    require(cirne.max_job_nodes <= sys.total_nodes,
             "MaxJobNodes must be in [1, Nodes]");
     require(cirne.target_load > 0.0 && cirne.target_load <= 1.5,
             "TargetLoad must be in (0, 1.5]");
+    require(sys.large_capacity > sys.normal_capacity,
+            "LargeCapacity must exceed NormalCapacity");
+    require(out.workload.pct_large_jobs >= 0.0 &&
+                out.workload.pct_large_jobs <= 1.0,
+            "PctLargeJobs must be in [0, 1]");
+    require(out.workload.overestimation >= 0.0,
+            "Overestimation must be non-negative");
   }
   // Memory-class boundaries of the workload follow the system's node sizes.
   out.workload.normal_capacity = out.simulation.system.normal_capacity;

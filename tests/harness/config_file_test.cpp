@@ -291,13 +291,56 @@ TEST(ParseConfigRange, TargetLoadInRange) {
   expect_rejected("TargetLoad = 1.6\n", "TargetLoad");
 }
 
+// Integer keys take a whole number in range; the message echoes the value
+// (a fraction used to be truncated, and a value past int range was an
+// undefined double-to-int cast).
+TEST(ParseConfigRange, IntegerKeysRejectFractionsAndOverflow) {
+  expect_rejected("Nodes = 32.7\n", "Nodes: expected an integer");
+  expect_rejected("QueueDepth = 1e10\n", "'1e10'");
+  expect_rejected("MaxRestarts = 0\n", "MaxRestarts");
+  expect_rejected("BackfillDepth = -1\n", "BackfillDepth");
+  expect_rejected("ServeThreads = 1025\n", "ServeThreads");
+  expect_rejected("ServePort = 80.5\n", "ServePort");
+}
+
+// Workload keys the synthetic generator used to abort on (exit 134).
+constexpr const char* kSmallWorkload = "Nodes = 8\nJobs = 5\nMaxJobNodes = 4\n";
+
+TEST(ParseConfigRange, LargeCapacityPositiveWithLargeNodes) {
+  // No workload keys (an SWF run): the cluster used to abort on the
+  // zero-capacity large nodes.
+  expect_rejected("PctLargeNodes = 0.5\nLargeCapacity = 0\n", "LargeCapacity");
+}
+
+TEST(ParseConfigRange, LargeCapacityMustExceedNormalCapacity) {
+  expect_rejected(std::string(kSmallWorkload) + "LargeCapacity = 32G\n",
+                  "LargeCapacity");
+  expect_rejected(std::string(kSmallWorkload) + "LargeCapacity = 64G\n",
+                  "LargeCapacity");
+}
+
+TEST(ParseConfigRange, PctLargeJobsIsAFraction) {
+  expect_rejected(std::string(kSmallWorkload) + "PctLargeJobs = 1.5\n",
+                  "PctLargeJobs");
+  expect_rejected(std::string(kSmallWorkload) + "PctLargeJobs = -0.1\n",
+                  "PctLargeJobs");
+}
+
+TEST(ParseConfigRange, OverestimationIsNonNegative) {
+  expect_rejected(std::string(kSmallWorkload) + "Overestimation = -1\n",
+                  "Overestimation");
+}
+
 TEST(ParseConfigRange, BoundaryValuesAccepted) {
   std::istringstream in(
       "Nodes = 16\nPctLargeNodes = 1\nMaxJobNodes = 16\nTargetLoad = 1.5\n"
-      "Jobs = 1\nQueueDepth = 1\n");
+      "Jobs = 1\nQueueDepth = 1\nCoresPerNode = 64.0\nServeThreads = 1024\n"
+      "PctLargeJobs = 1\nOverestimation = 0\n");
   const FileConfig cfg = parse_config(in);
   EXPECT_EQ(cfg.workload.cirne.max_job_nodes, 16);
   EXPECT_EQ(cfg.workload.cirne.num_jobs, 1u);
+  EXPECT_EQ(cfg.simulation.system.cores_per_node, 64);
+  EXPECT_EQ(cfg.serve.threads, 1024u);
 }
 
 TEST(ParseConfig, MissingFileThrows) {

@@ -14,9 +14,10 @@
 //   dmsim_run --config cluster.conf --checkpoint run.snap --checkpoint-every 3600
 //   dmsim_run --config cluster.conf --restore run.snap --json resumed.json
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -30,6 +31,7 @@
 #include "snapshot/image.hpp"
 #include "trace/swf_validate.hpp"
 #include "trace/usage_io.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 // Build metadata injected by tools/CMakeLists.txt; the fallbacks keep the
@@ -60,15 +62,15 @@ struct Options {
   std::optional<std::string> profiles_path;
   std::optional<std::string> export_profiles;
   std::optional<std::string> trace_path;
+  std::string trace_format_name = "ndjson";
   obs::TraceFormat trace_format = obs::TraceFormat::Ndjson;
   std::size_t trace_flush_every = 0;
   std::optional<std::string> checkpoint_path;
-  Seconds checkpoint_every = 0.0;
+  std::optional<Seconds> checkpoint_every;
   std::vector<Seconds> checkpoint_at;
   std::optional<std::string> restore_path;
   std::optional<std::string> snapshot_info;
   bool counters = false;
-  bool help = false;
   bool version = false;
 };
 
@@ -80,128 +82,75 @@ void print_version(std::ostream& os) {
      << snapshot::kMinFormatVersion << "+)\n";
 }
 
-void print_usage(std::ostream& os) {
-  os << "usage: dmsim_run --config FILE [options]\n"
-        "  --config FILE        slurm.conf-style configuration (required)\n"
-        "  --swf FILE           load jobs from an SWF trace instead of the\n"
-        "                       config's synthetic workload keys\n"
-        "  --usage FILE         per-job usage traces to attach to SWF jobs\n"
-        "  --export-swf FILE    write the simulated workload as SWF\n"
-        "  --export-usage FILE  write the per-job usage traces\n"
-        "  --jobs-csv FILE      write per-job records (CSV)\n"
-        "  --samples-csv FILE   write system utilization samples (CSV)\n"
-        "  --json FILE          write the full result document (JSON)\n"
-        "  --profiles FILE      application profiles for the slowdown model\n"
-        "  --export-profiles F  write the app pool used by this run\n"
-        "  --trace FILE         write a structured event trace of the run\n"
-        "  --trace-format FMT   trace format: ndjson (default) or chrome\n"
-        "                       (chrome loads into Perfetto / chrome://tracing)\n"
-        "  --trace-flush-every N flush the NDJSON trace stream every N events\n"
-        "                       (0, the default, flushes only on close)\n"
-        "  --counters           print the counters registry and a self-profile\n"
-        "                       (phase timers, events/sec) after the summary\n"
-        "  --checkpoint FILE    save simulation snapshots to FILE while running\n"
-        "  --checkpoint-every N save a snapshot every N simulated seconds\n"
-        "  --checkpoint-at T    save a snapshot at simulated time T (repeatable)\n"
-        "  --restore FILE       resume from a snapshot saved by --checkpoint;\n"
-        "                       config and workload must match the saving run\n"
-        "  --snapshot-info FILE print a snapshot's header metadata (format\n"
-        "                       version, fingerprint, sections) and exit —\n"
-        "                       validates checksums, restores nothing\n"
-        "  --version            print build/version information\n"
-        "  --help               this text\n";
-}
-
 [[nodiscard]] Options parse_args(int argc, char** argv) {
   Options opt;
-  const auto need_value = [&](int& i, const char* flag) -> std::string {
-    if (i + 1 >= argc) throw ConfigError(std::string(flag) + " needs a value");
-    return argv[++i];
-  };
-  const auto need_number = [&](int& i, const char* flag) -> double {
-    const std::string value = need_value(i, flag);
-    std::size_t used = 0;
-    double parsed = 0.0;
-    try {
-      parsed = std::stod(value, &used);
-    } catch (const std::exception&) {
-      throw ConfigError(std::string(flag) + ": not a number: '" + value + "'");
+  util::FlagTable flags({"--config FILE [options]"});
+  flags.text("--config", "FILE", "slurm.conf-style configuration (required)",
+             opt.config_path)
+      .text("--swf", "FILE",
+            "read jobs from an SWF trace, not the workload keys",
+            opt.swf_path)
+      .text("--usage", "FILE", "per-job usage traces to attach to SWF jobs",
+            opt.usage_path)
+      .text("--export-swf", "FILE", "write the simulated workload as SWF",
+            opt.export_swf)
+      .text("--export-usage", "FILE", "write the per-job usage traces",
+            opt.export_usage)
+      .text("--jobs-csv", "FILE", "write per-job records (CSV)", opt.jobs_csv)
+      .text("--samples-csv", "FILE", "write system utilization samples (CSV)",
+            opt.samples_csv)
+      .text("--json", "FILE", "write the full result document (JSON)",
+            opt.json_out)
+      .text("--profiles", "FILE",
+            "application profiles for the slowdown model", opt.profiles_path)
+      .text("--export-profiles", "FILE", "write the app pool used by this run",
+            opt.export_profiles)
+      .text("--trace", "FILE", "write a structured event trace of the run",
+            opt.trace_path)
+      .text("--trace-format", "FMT",
+            "ndjson (default) or chrome (loads into Perfetto)",
+            opt.trace_format_name)
+      .integer("--trace-flush-every", "N",
+               "flush the NDJSON trace every N events (0: on close)", 0,
+               std::numeric_limits<std::int64_t>::max(), opt.trace_flush_every)
+      .flag("--counters",
+            "print counters and a self-profile after the summary",
+            opt.counters)
+      .text("--checkpoint", "FILE",
+            "save simulation snapshots to FILE while running",
+            opt.checkpoint_path)
+      .real("--checkpoint-every", "N",
+            "save a snapshot every N simulated seconds", opt.checkpoint_every)
+      .repeated("--checkpoint-at", "T",
+                "save a snapshot at simulated time T (repeatable)",
+                opt.checkpoint_at)
+      .text("--restore", "FILE",
+            "resume from a --checkpoint snapshot (same inputs)",
+            opt.restore_path)
+      .text("--snapshot-info", "FILE",
+            "validate a snapshot, print its metadata and exit",
+            opt.snapshot_info)
+      .flag("--version", "print build/version information", opt.version);
+  flags.parse_or_exit(argc, argv, [&] {
+    opt.trace_format = obs::parse_trace_format(opt.trace_format_name);
+    if (opt.checkpoint_every && *opt.checkpoint_every <= 0.0) {
+      throw ConfigError("--checkpoint-every must be positive");
     }
-    if (used != value.size()) {
-      throw ConfigError(std::string(flag) + ": not a number: '" + value + "'");
-    }
-    return parsed;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--config") {
-      opt.config_path = need_value(i, "--config");
-    } else if (arg == "--swf") {
-      opt.swf_path = need_value(i, "--swf");
-    } else if (arg == "--usage") {
-      opt.usage_path = need_value(i, "--usage");
-    } else if (arg == "--export-swf") {
-      opt.export_swf = need_value(i, "--export-swf");
-    } else if (arg == "--export-usage") {
-      opt.export_usage = need_value(i, "--export-usage");
-    } else if (arg == "--jobs-csv") {
-      opt.jobs_csv = need_value(i, "--jobs-csv");
-    } else if (arg == "--samples-csv") {
-      opt.samples_csv = need_value(i, "--samples-csv");
-    } else if (arg == "--json") {
-      opt.json_out = need_value(i, "--json");
-    } else if (arg == "--profiles") {
-      opt.profiles_path = need_value(i, "--profiles");
-    } else if (arg == "--export-profiles") {
-      opt.export_profiles = need_value(i, "--export-profiles");
-    } else if (arg == "--trace") {
-      opt.trace_path = need_value(i, "--trace");
-    } else if (arg == "--trace-format") {
-      opt.trace_format = obs::parse_trace_format(need_value(i, "--trace-format"));
-    } else if (arg == "--trace-flush-every") {
-      const double n = need_number(i, "--trace-flush-every");
-      if (n < 0.0 || n != std::floor(n)) {
-        throw ConfigError("--trace-flush-every must be a non-negative integer");
-      }
-      opt.trace_flush_every = static_cast<std::size_t>(n);
-    } else if (arg == "--checkpoint") {
-      opt.checkpoint_path = need_value(i, "--checkpoint");
-    } else if (arg == "--checkpoint-every") {
-      opt.checkpoint_every = need_number(i, "--checkpoint-every");
-      if (opt.checkpoint_every <= 0.0) {
-        throw ConfigError("--checkpoint-every must be positive");
-      }
-    } else if (arg == "--checkpoint-at") {
-      const double at = need_number(i, "--checkpoint-at");
+    for (const Seconds at : opt.checkpoint_at) {
       if (at <= 0.0) throw ConfigError("--checkpoint-at must be positive");
-      opt.checkpoint_at.push_back(at);
-    } else if (arg == "--restore") {
-      opt.restore_path = need_value(i, "--restore");
-    } else if (arg == "--snapshot-info") {
-      opt.snapshot_info = need_value(i, "--snapshot-info");
-    } else if (arg == "--counters") {
-      opt.counters = true;
-    } else if (arg == "--version") {
-      opt.version = true;
-    } else if (arg == "--help" || arg == "-h") {
-      opt.help = true;
-    } else {
-      throw ConfigError("unknown argument: " + arg);
     }
-  }
-  if ((opt.checkpoint_every > 0.0 || !opt.checkpoint_at.empty()) &&
-      !opt.checkpoint_path) {
-    throw ConfigError("--checkpoint-every/--checkpoint-at need --checkpoint");
-  }
-  if (opt.checkpoint_path && opt.checkpoint_every <= 0.0 &&
-      opt.checkpoint_at.empty()) {
-    throw ConfigError(
-        "--checkpoint needs --checkpoint-every and/or --checkpoint-at");
-  }
-  if (!opt.help && !opt.version && !opt.snapshot_info &&
-      opt.config_path.empty()) {
-    throw ConfigError("--config is required");
-  }
+    const bool cuts = opt.checkpoint_every || !opt.checkpoint_at.empty();
+    if (cuts && !opt.checkpoint_path) {
+      throw ConfigError("--checkpoint-every/--checkpoint-at need --checkpoint");
+    }
+    if (opt.checkpoint_path && !cuts) {
+      throw ConfigError(
+          "--checkpoint needs --checkpoint-every and/or --checkpoint-at");
+    }
+    if (!opt.version && !opt.snapshot_info && opt.config_path.empty()) {
+      throw ConfigError("--config is required");
+    }
+  });
   return opt;
 }
 
@@ -370,7 +319,7 @@ int run(const Options& opt) {
   snapshot::Plan plan;
   if (opt.checkpoint_path) {
     plan.path = *opt.checkpoint_path;
-    plan.every = opt.checkpoint_every;
+    plan.every = opt.checkpoint_every.value_or(0.0);
     plan.cuts = opt.checkpoint_at;
   }
   std::unique_ptr<Simulator> sim;
@@ -489,14 +438,8 @@ int run(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool parsed = false;  // usage text answers flag errors, not runtime ones
+  const Options opt = parse_args(argc, argv);
   try {
-    const Options opt = parse_args(argc, argv);
-    parsed = true;
-    if (opt.help) {
-      print_usage(std::cout);
-      return 0;
-    }
     if (opt.version) {
       print_version(std::cout);
       return 0;
@@ -507,7 +450,6 @@ int main(int argc, char** argv) {
     return run(opt);
   } catch (const std::exception& e) {
     std::cerr << "dmsim_run: " << e.what() << '\n';
-    if (!parsed) print_usage(std::cerr);
     return 1;
   }
 }

@@ -21,10 +21,10 @@
 
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -34,6 +34,7 @@
 #include "harness/config_file.hpp"
 #include "serve/server.hpp"
 #include "slowdown/profile_io.hpp"
+#include "util/cli.hpp"
 #include "workload/generator.hpp"
 
 namespace {
@@ -52,87 +53,46 @@ struct Options {
   std::string connect;  ///< "host:port"; non-empty selects client mode
   std::string queries_path;
   std::size_t concurrency = 16;
-  bool help = false;
 };
 
-void print_usage(std::ostream& os) {
-  os << "usage: dmsim_serve --config FILE --snapshot FILE [options]\n"
-        "       dmsim_serve --connect HOST:PORT --queries FILE [options]\n"
-        "  --config FILE     scenario configuration (required for serving)\n"
-        "  --snapshot FILE   default warm image queries fork (required)\n"
-        "  --profiles FILE   application profiles for the slowdown model\n"
-        "  --once            answer queries from stdin, reply on stdout, exit\n"
-        "  --port N          TCP port (default: config ServePort; 0 = any)\n"
-        "  --threads N       simulation pool size (default: ServeThreads)\n"
-        "  --cache N         warm images kept in the LRU (default: 4)\n"
-        "  --connect H:P     client mode: send queries to a running daemon\n"
-        "  --queries FILE    client mode: NDJSON query file ('-' = stdin)\n"
-        "  --concurrency N   client mode: parallel connections (default 16)\n"
-        "  --help            this text\n";
-}
-
 [[nodiscard]] Options parse_args(int argc, char** argv) {
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
   Options opt;
-  const auto need_value = [&](int& i, const char* flag) -> std::string {
-    if (i + 1 >= argc) throw ConfigError(std::string(flag) + " needs a value");
-    return argv[++i];
-  };
-  const auto need_int = [&](int& i, const char* flag) -> long {
-    const std::string value = need_value(i, flag);
-    long parsed = 0;
-    const auto res =
-        std::from_chars(value.data(), value.data() + value.size(), parsed);
-    if (res.ec != std::errc{} || res.ptr != value.data() + value.size()) {
-      throw ConfigError(std::string(flag) + ": not an integer: '" + value +
-                        "'");
+  util::FlagTable flags({"--config FILE --snapshot FILE [options]",
+                         "--connect HOST:PORT --queries FILE [options]"});
+  flags.text("--config", "FILE", "scenario configuration (required to serve)",
+             opt.config_path)
+      .text("--snapshot", "FILE", "default warm image queries fork (required)",
+            opt.snapshot_path)
+      .text("--profiles", "FILE",
+            "application profiles for the slowdown model", opt.profiles_path)
+      .flag("--once", "answer queries from stdin, reply on stdout, exit",
+            opt.once)
+      .integer("--port", "N", "TCP port (default: config ServePort; 0 = any)",
+               0, 65535, opt.port)
+      .integer("--threads", "N", "simulation pool size (default: ServeThreads)",
+               0, util::kMaxThreads, opt.threads)
+      .integer("--cache", "N", "warm images kept in the LRU (default: 4)", 1,
+               kIntMax, opt.cache_images)
+      .text("--connect", "H:P", "client mode: send queries to a running daemon",
+            opt.connect)
+      .text("--queries", "FILE", "client mode: NDJSON query file ('-' = stdin)",
+            opt.queries_path)
+      .integer("--concurrency", "N",
+               "client mode: parallel connections (default 16)", 1,
+               util::kMaxThreads, opt.concurrency);
+  flags.parse_or_exit(argc, argv, [&] {
+    if (!opt.connect.empty()) {
+      if (opt.queries_path.empty()) {
+        throw ConfigError("--connect needs --queries");
+      }
+      return;
     }
-    return parsed;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--config") {
-      opt.config_path = need_value(i, "--config");
-    } else if (arg == "--snapshot") {
-      opt.snapshot_path = need_value(i, "--snapshot");
-    } else if (arg == "--profiles") {
-      opt.profiles_path = need_value(i, "--profiles");
-    } else if (arg == "--once") {
-      opt.once = true;
-    } else if (arg == "--port") {
-      const long port = need_int(i, "--port");
-      if (port < 0 || port > 65535) throw ConfigError("--port out of range");
-      opt.port = static_cast<int>(port);
-    } else if (arg == "--threads") {
-      const long threads = need_int(i, "--threads");
-      if (threads < 0) throw ConfigError("--threads must be >= 0");
-      opt.threads = static_cast<std::size_t>(threads);
-    } else if (arg == "--cache") {
-      const long cache = need_int(i, "--cache");
-      if (cache < 1) throw ConfigError("--cache must be >= 1");
-      opt.cache_images = static_cast<std::size_t>(cache);
-    } else if (arg == "--connect") {
-      opt.connect = need_value(i, "--connect");
-    } else if (arg == "--queries") {
-      opt.queries_path = need_value(i, "--queries");
-    } else if (arg == "--concurrency") {
-      const long n = need_int(i, "--concurrency");
-      if (n < 1) throw ConfigError("--concurrency must be >= 1");
-      opt.concurrency = static_cast<std::size_t>(n);
-    } else if (arg == "--help" || arg == "-h") {
-      opt.help = true;
-    } else {
-      throw ConfigError("unknown argument: " + arg);
+    if (opt.config_path.empty()) throw ConfigError("--config is required");
+    if (opt.snapshot_path.empty()) {
+      throw ConfigError("--snapshot is required");
     }
-  }
-  if (opt.help) return opt;
-  if (!opt.connect.empty()) {
-    if (opt.queries_path.empty()) {
-      throw ConfigError("--connect needs --queries");
-    }
-    return opt;
-  }
-  if (opt.config_path.empty()) throw ConfigError("--config is required");
-  if (opt.snapshot_path.empty()) throw ConfigError("--snapshot is required");
+  });
   return opt;
 }
 
@@ -145,13 +105,8 @@ void print_usage(std::ostream& os) {
     throw ConfigError("--connect expects HOST:PORT");
   }
   const std::string host = target.substr(0, colon);
-  const std::string port_text = target.substr(colon + 1);
-  int port = 0;
-  const auto res = std::from_chars(port_text.data(),
-                                   port_text.data() + port_text.size(), port);
-  if (res.ec != std::errc{} || port <= 0 || port > 65535) {
-    throw ConfigError("--connect: bad port '" + port_text + "'");
-  }
+  const auto port =
+      util::parse_integer(target.substr(colon + 1), 1, 65535, "--connect port");
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw ConfigError("client: cannot create socket");
   sockaddr_in addr{};
@@ -282,17 +237,12 @@ int run_server(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const Options opt = parse_args(argc, argv);
   try {
-    const Options opt = parse_args(argc, argv);
-    if (opt.help) {
-      print_usage(std::cout);
-      return 0;
-    }
     if (!opt.connect.empty()) return run_client(opt);
     return run_server(opt);
   } catch (const std::exception& e) {
     std::cerr << "dmsim_serve: " << e.what() << '\n';
-    print_usage(std::cerr);
     return 1;
   }
 }

@@ -14,19 +14,25 @@
 // percentiles are exact (nearest-rank on the sorted sample vector), and all
 // numbers are printed through fixed explicit formats.
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "serve/json.hpp"
+#include "util/cli.hpp"
+#include "util/stats.hpp"
+#include "util/table.hpp"
+
 namespace {
+
+using namespace dmsim;
 
 // ---------------------------------------------------------------------------
 // Flat NDJSON line parsing
@@ -52,105 +58,57 @@ struct TraceEvent {
   }
 };
 
-struct ParseError {
-  std::size_t line_number;
-  std::string message;
-};
-
-/// Parse one `{"key":value,...}` line of the flat NDJSON schema the sinks
-/// emit: string values have no escapes, everything else is a number. Returns
-/// false (with `err` filled) on malformed input.
-bool parse_line(std::string_view line, std::size_t line_number, TraceEvent& out,
-                ParseError& err) {
-  const auto fail = [&](std::string message) {
-    err = ParseError{line_number, std::move(message)};
-    return false;
-  };
-  std::size_t pos = 0;
-  const auto skip = [&](char c) {
-    if (pos >= line.size() || line[pos] != c) return false;
-    ++pos;
-    return true;
-  };
-  if (!skip('{')) return fail("expected '{'");
-  bool first = true;
-  while (pos < line.size() && line[pos] != '}') {
-    if (!first && !skip(',')) return fail("expected ','");
-    first = false;
-    if (!skip('"')) return fail("expected key quote");
-    const std::size_t key_end = line.find('"', pos);
-    if (key_end == std::string_view::npos) return fail("unterminated key");
-    const std::string key(line.substr(pos, key_end - pos));
-    pos = key_end + 1;
-    if (!skip(':')) return fail("expected ':'");
-    if (pos >= line.size()) return fail("missing value");
-    if (line[pos] == '"') {
-      ++pos;
-      const std::size_t val_end = line.find('"', pos);
-      if (val_end == std::string_view::npos) return fail("unterminated string");
-      const std::string value(line.substr(pos, val_end - pos));
-      pos = val_end + 1;
-      if (key == "ev") {
-        out.ev = value;
-      } else if (key == "detail") {
-        out.detail = value;
-      }
-      // Unknown string keys are ignored: the analyzer must keep working
-      // when newer sinks add fields.
-    } else {
-      char* end = nullptr;
-      const std::string buf(line.substr(pos));
-      const double value = std::strtod(buf.c_str(), &end);
-      if (end == buf.c_str()) return fail("bad number for key '" + key + "'");
-      pos += static_cast<std::size_t>(end - buf.c_str());
-      if (key == "t") {
-        out.t = value;
-      } else if (key == "job") {
-        out.job = static_cast<std::int64_t>(value);
-      } else if (key == "node") {
-        out.node = static_cast<std::int64_t>(value);
-      } else if (key == "span") {
-        out.span = static_cast<std::int64_t>(value);
-      } else if (key == "parent") {
-        out.parent = static_cast<std::int64_t>(value);
-      } else if (key != "when") {
-        out.fields.emplace_back(key, static_cast<std::int64_t>(value));
-      }
+/// Read one line of the flat NDJSON schema the sinks emit. Unknown string
+/// keys are ignored so the analyzer keeps working when newer sinks add
+/// fields. Throws ServeError on malformed input, including any value that is
+/// neither a number nor a string.
+TraceEvent parse_event(std::string_view line) {
+  const serve::JsonValue v = serve::json_parse(line);
+  if (!v.is_object()) throw serve::ServeError("json: expected an object");
+  TraceEvent e;
+  e.t = v.num_or("t", 0.0);
+  e.ev = v.str_or("ev", "");
+  e.detail = v.str_or("detail", "");
+  e.job = v.int_or("job", -1);
+  e.node = v.int_or("node", -1);
+  e.span = v.int_or("span", -1);
+  e.parent = v.int_or("parent", -1);
+  for (const auto& [key, value] : v.object) {
+    if (value.kind == serve::JsonValue::Kind::String) continue;
+    if (value.kind != serve::JsonValue::Kind::Number) {
+      throw serve::ServeError("json: field '" + key +
+                              "' is neither a number nor a string");
+    }
+    if (key != "t" && key != "job" && key != "node" && key != "span" &&
+        key != "parent" && key != "when") {
+      e.fields.emplace_back(key, v.int_or(key, 0));
     }
   }
-  if (!skip('}')) return fail("expected '}'");
-  return true;
+  return e;
 }
 
 // ---------------------------------------------------------------------------
 // Aggregation
 // ---------------------------------------------------------------------------
 
-/// Exact nearest-rank percentile over a sorted sample vector.
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double rank = std::ceil(q * static_cast<double>(sorted.size()));
-  const auto idx = static_cast<std::size_t>(std::max(rank, 1.0)) - 1;
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
+/// Samples gathered while reading; seal() sorts them into an ECDF, whose
+/// nearest-rank quantiles the report prints.
 struct LatencyStats {
   std::vector<double> samples;
+  util::Ecdf sorted;
 
   void add(double v) { samples.push_back(v); }
-  void seal() { std::sort(samples.begin(), samples.end()); }
-  [[nodiscard]] std::size_t count() const { return samples.size(); }
-  [[nodiscard]] double sum() const {
-    double s = 0.0;
-    for (double v : samples) s += v;
-    return s;
-  }
+  void seal() { sorted = util::Ecdf(std::move(samples)); }
+  [[nodiscard]] std::size_t count() const { return sorted.size(); }
   [[nodiscard]] double mean() const {
-    return samples.empty() ? 0.0 : sum() / static_cast<double>(samples.size());
+    const std::vector<double>& v = sorted.sorted();
+    return v.empty() ? 0.0
+                     : std::accumulate(v.begin(), v.end(), 0.0) /
+                           static_cast<double>(v.size());
   }
-  [[nodiscard]] double p(double q) const { return percentile(samples, q); }
+  [[nodiscard]] double p(double q) const { return sorted.quantile(q); }
   [[nodiscard]] double max() const {
-    return samples.empty() ? 0.0 : samples.back();
+    return sorted.empty() ? 0.0 : sorted.sorted().back();
   }
 };
 
@@ -267,10 +225,21 @@ void analyze_event(const TraceEvent& e, Report& r,
 // Rendering
 // ---------------------------------------------------------------------------
 
-std::string fmt(double v, int precision = 3) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", precision, v);
-  return buf;
+using util::fmt;
+
+/// Jobs by descending response time, ties by id (deterministic).
+std::vector<std::pair<std::int64_t, const JobStats*>> slowest(
+    const Report& r) {
+  std::vector<std::pair<std::int64_t, const JobStats*>> order;
+  order.reserve(r.jobs.size());
+  for (const auto& [id, j] : r.jobs) order.emplace_back(id, &j);
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    if (a.second->response() != b.second->response()) {
+      return a.second->response() > b.second->response();
+    }
+    return a.first < b.first;
+  });
+  return order;
 }
 
 void print_latency_row(std::ostream& os, const char* label,
@@ -320,15 +289,7 @@ void print_text(std::ostream& os, const Report& r, std::size_t top) {
   }
 
   if (top > 0 && !r.jobs.empty()) {
-    std::vector<std::pair<std::int64_t, const JobStats*>> order;
-    order.reserve(r.jobs.size());
-    for (const auto& [id, j] : r.jobs) order.emplace_back(id, &j);
-    std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-      if (a.second->response() != b.second->response()) {
-        return a.second->response() > b.second->response();
-      }
-      return a.first < b.first;  // deterministic tie-break
-    });
+    const auto order = slowest(r);
     os << "\nslowest jobs (top " << std::min(top, order.size()) << "):\n";
     os << "  job  response  queued  running  requeues  outcome\n";
     for (std::size_t i = 0; i < order.size() && i < top; ++i) {
@@ -368,14 +329,7 @@ void print_json(std::ostream& os, const Report& r, std::size_t top) {
   json_latency(os, "queue_depth", r.queue_depth);
   os << ",\"jobs\":" << r.jobs.size();
   if (top > 0 && !r.jobs.empty()) {
-    std::vector<std::pair<std::int64_t, const JobStats*>> order;
-    for (const auto& [id, j] : r.jobs) order.emplace_back(id, &j);
-    std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-      if (a.second->response() != b.second->response()) {
-        return a.second->response() > b.second->response();
-      }
-      return a.first < b.first;
-    });
+    const auto order = slowest(r);
     os << ",\"slowest\":[";
     for (std::size_t i = 0; i < order.size() && i < top; ++i) {
       const auto& [id, j] = order[i];
@@ -391,57 +345,20 @@ void print_json(std::ostream& os, const Report& r, std::size_t top) {
   os << "}\n";
 }
 
-void print_usage(std::ostream& os) {
-  os << "usage: dmsim_trace TRACE.ndjson [options]   ('-' reads stdin)\n"
-        "  --json     emit the report as a single JSON object\n"
-        "  --top N    list the N slowest-responding jobs (default 10)\n"
-        "  --help     this text\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string path;
   bool as_json = false;
   std::size_t top = 10;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      as_json = true;
-    } else if (arg == "--top") {
-      if (i + 1 >= argc) {
-        std::cerr << "dmsim_trace: --top needs a value\n";
-        return 1;
-      }
-      top = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
-    } else if (arg == "--help" || arg == "-h") {
-      print_usage(std::cout);
-      return 0;
-    } else if (arg == "-") {
-      // "-" = read the trace from stdin (pipeline use:
-      // `dmsim_run --trace /dev/stdout ... | dmsim_trace -`).
-      if (path.empty()) {
-        path = arg;
-      } else {
-        std::cerr << "dmsim_trace: more than one trace file given\n";
-        return 1;
-      }
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "dmsim_trace: unknown argument: " << arg << '\n';
-      print_usage(std::cerr);
-      return 1;
-    } else if (path.empty()) {
-      path = arg;
-    } else {
-      std::cerr << "dmsim_trace: more than one trace file given\n";
-      return 1;
-    }
-  }
-  if (path.empty()) {
-    std::cerr << "dmsim_trace: a trace file is required\n";
-    print_usage(std::cerr);
-    return 1;
-  }
+  util::FlagTable flags({"TRACE.ndjson [options]"});
+  flags.positional("TRACE.ndjson", "trace to analyze ('-' reads stdin)", path)
+      .flag("--json", "emit the report as a single JSON object", as_json)
+      .integer("--top", "N", "list the N slowest-responding jobs (default 10)",
+               0, std::numeric_limits<int>::max(), top);
+  flags.parse_or_exit(argc, argv, [&] {
+    if (path.empty()) throw ConfigError("a trace file is required");
+  });
   std::ifstream file;
   if (path != "-") {
     file.open(path);
@@ -461,12 +378,13 @@ int main(int argc, char** argv) {
     ++line_number;
     if (line.empty()) continue;
     TraceEvent event;
-    ParseError err{0, ""};
-    if (!parse_line(line, line_number, event, err)) {
+    try {
+      event = parse_event(line);
+    } catch (const serve::ServeError& e) {
       ++report.skipped;
       if (report.skipped <= 5) {
-        std::cerr << "dmsim_trace: line " << err.line_number << ": "
-                  << err.message << '\n';
+        std::cerr << "dmsim_trace: line " << line_number << ": " << e.what()
+                  << '\n';
       }
       continue;
     }
